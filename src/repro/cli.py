@@ -967,7 +967,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     from .obs.profile import (
+        counter_values,
         coverage,
+        format_counters,
         format_overhead,
         format_top_spans,
         run_overhead_check,
@@ -984,6 +986,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     TRACER.enable()
     TRACER.clear()
+    counters_before = counter_values()
     t0 = time.perf_counter()
     if args.scale_preset is not None:
         what = f"scale --preset {args.scale_preset}"
@@ -1017,6 +1020,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"profiled {what}: {tail}, {len(spans)} spans in {wall_s:.2f}s\n")
     print(format_top_spans(top_spans(spans, limit=args.limit), wall_s=wall_s))
     print(f"\nspan coverage: {coverage(spans):.1%} of traced wall time")
+    counters = format_counters(counters_before, counter_values())
+    if counters:
+        print(f"\n{counters}")
     print(f"trace written to {jsonl_path} and {perfetto_path}")
     return 0
 

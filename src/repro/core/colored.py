@@ -4,24 +4,32 @@ The paper compares its oblivious schemes against the authors' own
 pattern-aware router (ref. [4], ICS'09), which assigns NCAs *knowing the
 communication pattern* and serves as an upper bound on what any routing
 of the same topology can achieve.  We reproduce it as a combinatorial
-optimizer over NCA assignments with the paper's contention semantics:
+optimizer over NCA assignments:
 
 * The optimization variable of a flow is its up-port vector (equivalently
   its NCA) — the descending path is then forced.
-* The objective is the *network* contention level, endpoint contention
-  excluded (Sec. IV): the contention of a link carrying flow set ``F`` is
-  ``min(#distinct sources in F, #distinct destinations in F)`` — flows
-  sharing a source serialize at injection and can share ascending links
-  for free, flows sharing a destination serialize at ejection and can
-  share descending links for free.  We minimize the lexicographic pair
-  ``(max link contention, sum of squared link contentions)``.
+* The objective is the lexicographic pair ``(max flows per link, sum of
+  squared flows per link)`` over the directed links the routes occupy.
+  By default these include the host-switch (level-0) links, where a
+  node's unavoidable injection/ejection serialization accumulates, so
+  the objective tracks the max-min fluid completion time of equal-size
+  phases: flows that already serialize at a shared endpoint (WRF's
+  same-source flows) gain nothing from being spread.
+  ``endpoint_aware=False`` drops the level-0 links: the classic
+  flows-per-switch-to-switch-link objective, blind to endpoint
+  contention.
 * For two-level XGFTs routing a permutation this is the classic Clos
   middle-stage assignment; a König/Euler bipartite *edge coloring* of the
   inter-switch flow multigraph yields a provably optimal warm start
   (``ceil(degree / w2)`` flows per link), which a greedy + local-search
-  pass then refines under the full endpoint-aware objective (needed for
-  non-permutation patterns such as WRF's, where same-source flows may
-  share a color for free).
+  pass then refines under the full objective (needed for
+  non-permutation patterns such as WRF's).
+
+The search runs on one int64 load array over the directed links.  A
+route's link ids split into a per-flow base, fixed by the endpoint
+digits, plus a per-candidate offset, fixed by the up-ports; scoring
+all candidates of a flow is one gather, a row max and sum of squares,
+and one argmin (see "Colored optimizer" in docs/performance.md).
 
 The optimizer is exact on the paper's configurations in the sense that it
 reaches the analytic lower bound (tests assert this for CG phase 5 and
@@ -31,17 +39,27 @@ which is all the baseline role requires.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter, defaultdict
-from typing import Dict, Sequence
+import math
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+import numpy.typing as npt
 
+from ..obs import active as _obs_active
+from ..obs import metrics as _metrics
 from ..topology import XGFT
 from .base import RoutingAlgorithm
-from .route import Route
+from .dmodk import DModK
+from .smodk import SModK, source_digit_port
 
 __all__ = ["Colored", "bipartite_edge_coloring"]
+
+IntArray = npt.NDArray[np.int64]
+BoolArray = npt.NDArray[np.bool_]
+#: an optimizer start: dense ``(F, h)`` up-ports and the flows it places
+Start = tuple[IntArray, BoolArray]
 
 
 def bipartite_edge_coloring(
@@ -122,39 +140,22 @@ def bipartite_edge_coloring(
     return colors
 
 
-class _LinkState:
-    """Incremental endpoint-aware contention bookkeeping for one link."""
+@dataclass(frozen=True)
+class _Layout:
+    """The pattern side of one optimization, shared by all its restarts.
 
-    __slots__ = ("sources", "dests")
+    Link slots come in up/down pairs per counted level.  A flow's route
+    occupies ``base[f, k] + offset_k(ports)`` on its first ``width[f]``
+    slots; array rows pad the rest with ``sentinel``, an extra link
+    whose load stays 0.
+    """
 
-    def __init__(self) -> None:
-        self.sources: Counter = Counter()
-        self.dests: Counter = Counter()
-
-    @property
-    def num_flows(self) -> int:
-        return sum(self.sources.values())
-
-    @property
-    def contention(self) -> int:
-        return min(len(self.sources), len(self.dests))
-
-    def add(self, s: int, d: int) -> None:
-        self.sources[s] += 1
-        self.dests[d] += 1
-
-    def remove(self, s: int, d: int) -> None:
-        self.sources[s] -= 1
-        if self.sources[s] == 0:
-            del self.sources[s]
-        self.dests[d] -= 1
-        if self.dests[d] == 0:
-            del self.dests[d]
-
-    def contention_with(self, s: int, d: int) -> int:
-        ns = len(self.sources) + (0 if s in self.sources else 1)
-        nd = len(self.dests) + (0 if d in self.dests else 1)
-        return min(ns, nd)
+    nca: IntArray  # (F,) NCA level
+    forced: BoolArray  # (F,) the level admits one up-port vector only
+    width: IntArray  # (F,) counted link slots
+    base: IntArray  # (F, W) link-id bases
+    sentinel: int
+    scale: int  # exceeds any candidate's sum of squares: key = max * scale + sumsq
 
 
 class Colored(RoutingAlgorithm):
@@ -172,17 +173,20 @@ class Colored(RoutingAlgorithm):
         Maximum sweeps of the move-based local search per restart.
     max_candidates:
         Cap on enumerated up-port vectors per flow (random subsample
-        beyond it; never reached on the paper's topologies).
+        beyond it; never reached on the paper's topologies); at least 1.
     endpoint_aware:
-        When True (default) link costs use the paper's endpoint-aware
-        contention ``min(#sources, #dests)``; when False they fall back
-        to raw flow counts — the ablation of DESIGN.md Sec. 6, which
-        makes the optimizer blind to free same-endpoint sharing (it then
-        needlessly spreads WRF's same-source flows).
+        When True (default) the objective counts the host-switch
+        (level-0) links as well; when False only switch-to-switch links
+        count — the ablation of DESIGN.md Sec. 6, which makes the
+        optimizer blind to endpoint contention (it then needlessly
+        spreads WRF's same-source flows).
 
     Routing queries for pairs outside the prepared pattern fall back to
     D-mod-k-style digit routing (a pattern-aware router has no opinion on
-    flows that never occur).
+    flows that never occur).  With obs active at construction, each
+    optimization adds the candidate sets it scored to the
+    ``colored.evaluations`` counter and its local-search re-routes to
+    ``colored.moves``.
     """
 
     name = "colored"
@@ -197,244 +201,229 @@ class Colored(RoutingAlgorithm):
         endpoint_aware: bool = True,
     ):
         super().__init__(topo)
+        if int(max_candidates) < 1:
+            raise ValueError(f"colored: max_candidates must be >= 1, got {max_candidates}")
         self.seed = int(seed)
         self.restarts = int(restarts)
         self.local_search_passes = int(local_search_passes)
         self.max_candidates = int(max_candidates)
         self.endpoint_aware = bool(endpoint_aware)
-        self._assignment: Dict[tuple[int, int], tuple[int, ...]] = {}
+        #: first link level the objective counts
+        self._lo = 0 if self.endpoint_aware else 1
+        self._obs_on = _obs_active()
+        # the prepared pattern: sorted pair keys src * n + dst and their
+        # dense (F, h) up-port assignment
+        self._keys: IntArray = np.empty(0, dtype=np.int64)
+        self._ports: IntArray = np.empty((0, topo.h), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # RoutingAlgorithm interface
     # ------------------------------------------------------------------
     def prepare(self, pairs: Sequence[tuple[int, int]]) -> None:
         flows = sorted({(s, d) for s, d in pairs if s != d})
-        self._assignment = self._optimize(flows)
-
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        try:
-            return self._assignment[(src, dst)]
-        except KeyError:
-            # fall back to the D-mod-k digit rule for unprepared pairs
-            from .smodk import source_digit_port
-
-            lvl = self.topo.nca_level(src, dst)
-            d = np.asarray([dst], dtype=np.int64)
-            return tuple(
-                int(source_digit_port(self.topo, level, d)[0]) for level in range(lvl)
-            )
+        n = self.topo.num_leaves
+        ports, _ = self._optimize(flows)
+        self._keys = np.asarray([s * n + d for s, d in flows], dtype=np.int64)
+        self._ports = ports
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        out = np.empty(len(src), dtype=np.int64)
-        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-            out[i] = self.up_ports(s, d)[level]
+        out = source_digit_port(self.topo, level, dst)
+        if len(self._keys):
+            keys = src * self.topo.num_leaves + dst
+            rows = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            hit = self._keys[rows] == keys
+            out[hit] = self._ports[rows[hit], level]
         return out
 
     # ------------------------------------------------------------------
     # Optimizer
     # ------------------------------------------------------------------
-    def _candidates(self, lvl: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
-        """All up-port vectors reaching an NCA at ``lvl`` (possibly sampled)."""
-        spaces = [range(self.topo.w[i]) for i in range(lvl)]
-        total = int(np.prod([len(sp) for sp in spaces])) if spaces else 1
-        if total <= self.max_candidates:
-            return [tuple(c) for c in itertools.product(*spaces)]
-        picks = rng.integers(
-            0,
-            np.asarray([len(sp) for sp in spaces])[None, :],
-            size=(self.max_candidates, lvl),
-        )
-        return [tuple(int(x) for x in row) for row in picks]
+    def _candidates(self, lvl: int, rng: np.random.Generator) -> IntArray:
+        """All ``(C, lvl)`` up-port vectors reaching an NCA at ``lvl`` (possibly sampled)."""
+        sizes = self.topo.w[:lvl]
+        if math.prod(sizes) <= self.max_candidates:
+            # last port fastest: itertools.product order
+            return np.indices(sizes, dtype=np.int64).reshape(lvl, -1).T
+        return rng.integers(0, np.asarray(sizes)[None, :], size=(self.max_candidates, lvl))
 
-    def _route_links(self, s: int, d: int, ports: tuple[int, ...]) -> tuple[int, ...]:
-        """Directed links a candidate route occupies, as cost terms.
+    def _offsets(self, ports: IntArray) -> IntArray:
+        """Per-slot link-id offsets of up-port rows ``(k, l)``.
 
-        In endpoint-aware mode (default) the full link set is used,
-        including the host-switch (level-0) links where a node's
-        unavoidable injection/ejection serialization accumulates: the
-        optimizer's (max flows/link, sum of squares) objective then
-        tracks the max-min fluid completion time of equal-size phases.
-        The ``endpoint_aware=False`` ablation drops the level-0 links —
-        the classic "flows per switch-to-switch link" objective, blind to
-        endpoint contention (DESIGN.md Sec. 6).
+        At level ``i`` a route's up and down link share the offset
+        ``prefix * w_i + r_i`` with ``prefix = sum_{j<i} r_j * wprod(j)``,
+        as in :meth:`~repro.core.route.RouteTable.flow_links`.
         """
-        links = Route(s, d, ports).links(self.topo)
-        if self.endpoint_aware:
-            return tuple(links)
-        topo = self.topo
-        host_up = topo.num_up_links(0)
-        base = topo.num_links_per_direction
-        return tuple(
-            l for l in links if not (l < host_up or base <= l < base + host_up)
+        topo, lo = self.topo, self._lo
+        out = np.empty((len(ports), 2 * max(ports.shape[1] - lo, 0)), dtype=np.int64)
+        prefix = np.zeros(len(ports), dtype=np.int64)
+        for i in range(ports.shape[1]):
+            if i >= lo:
+                out[:, 2 * (i - lo)] = out[:, 2 * (i - lo) + 1] = prefix * topo.w[i] + ports[:, i]
+            prefix += ports[:, i] * topo.wprod(i)
+        return out
+
+    def _layout(self, flows: list[tuple[int, int]]) -> _Layout:
+        topo, lo = self.topo, self._lo
+        pairs = np.asarray(flows, dtype=np.int64)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        nca = topo.nca_level_array(src, dst)
+        base = np.empty((len(flows), 2 * (topo.h - lo)), dtype=np.int64)
+        level_base = 0
+        for i in range(topo.h):
+            if i >= lo:
+                stride = topo.wprod(i + 1)
+                base[:, 2 * (i - lo)] = level_base + (src // topo.mprod(i)) * stride
+                base[:, 2 * (i - lo) + 1] = (
+                    topo.num_links_per_direction + level_base + (dst // topo.mprod(i)) * stride
+                )
+            level_base += topo.num_up_links(i)
+        single = np.asarray([math.prod(topo.w[:lvl]) == 1 for lvl in range(topo.h + 1)])
+        # a link carries at most F flows, so candidate sums of squares stay below scale
+        scale = base.shape[1] * len(flows) ** 2 + 1
+        if len(flows) * scale >= 2**63:
+            raise ValueError(f"colored: {len(flows)} flows overflow the int64 objective")
+        return _Layout(
+            nca, single[nca], 2 * np.maximum(nca - lo, 0), base, topo.num_directed_links, scale
         )
 
-    def _optimize(
-        self, flows: list[tuple[int, int]]
-    ) -> Dict[tuple[int, int], tuple[int, ...]]:
+    def _optimize(self, flows: list[tuple[int, int]]) -> tuple[IntArray, tuple[int, int]]:
+        """The best assignment of sorted, distinct, non-self ``flows``.
+
+        Returns the dense ``(F, h)`` up-port matrix in ``flows`` order
+        and its ``(max flows per link, sum of squared flows)`` score.
+        """
         if not flows:
-            return {}
+            return np.zeros((0, self.topo.h), dtype=np.int64), (0, 0)
+        lay = self._layout(flows)
         rng = np.random.default_rng(np.random.SeedSequence([0xC0105ED, self.seed & 0xFFFFFFFF]))
-        best: Dict[tuple[int, int], tuple[int, ...]] | None = None
-        best_score: tuple[int, int] | None = None
         # Warm starts, most-informed first: the self-routing mod-k
         # assignments (so Colored can never end up *behind* them), the
         # Koenig edge coloring (optimal for permutations on h=2), then
         # cold randomized greedy restarts.  Ties keep the earlier seed.
-        seeds: list[Dict[tuple[int, int], tuple[int, ...]] | None] = []
-        seeds.extend(self._modk_warm_starts(flows))
-        koenig = self._warm_start(flows)
+        seeds: list[Start | None] = list(self._modk_warm_starts(flows))
+        koenig = self._warm_start(flows, lay.nca)
         if koenig is not None:
             seeds.append(koenig)
         seeds.extend([None] * max(1, self.restarts))
+        num = len(flows)
+        cold = (np.zeros((num, self.topo.h), dtype=np.int64), np.zeros(num, dtype=bool))
+        best: tuple[IntArray, tuple[int, int]] | None = None
+        evaluations = moves = 0
         for restart, warm in enumerate(seeds):
-            order = list(range(len(flows)))
+            order = list(range(num))
             if warm is None and restart > 0:
                 rng.shuffle(order)
-            assignment, score = self._greedy_and_search(flows, order, warm, rng)
-            if best_score is None or score < best_score:
-                best, best_score = assignment, score
+            ports, score, n_eval, n_move = self._greedy_and_search(
+                lay, order, cold if warm is None else warm, rng
+            )
+            evaluations += n_eval
+            moves += n_move
+            if best is None or score < best[1]:
+                best = ports, score
+        if self._obs_on:
+            _metrics.counter("colored.evaluations").inc(evaluations)
+            _metrics.counter("colored.moves").inc(moves)
         assert best is not None
         return best
 
-    def _modk_warm_starts(
-        self, flows: list[tuple[int, int]]
-    ) -> list[Dict[tuple[int, int], tuple[int, ...]]]:
+    def _modk_warm_starts(self, flows: list[tuple[int, int]]) -> list[Start]:
         """The S-mod-k and D-mod-k assignments as optimizer seeds."""
-        from .dmodk import DModK
-        from .smodk import SModK
+        every = np.ones(len(flows), dtype=bool)
+        return [(cls(self.topo).build_table(flows).ports, every) for cls in (SModK, DModK)]
 
-        starts = []
-        for cls in (SModK, DModK):
-            table = cls(self.topo).build_table(flows)
-            starts.append({flows[f]: table.route(f).up_ports for f in range(len(flows))})
-        return starts
-
-    def _warm_start(
-        self, flows: list[tuple[int, int]]
-    ) -> Dict[tuple[int, int], tuple[int, ...]] | None:
+    def _warm_start(self, flows: list[tuple[int, int]], nca: IntArray) -> Start | None:
         """König edge-coloring warm start for two-level topologies."""
         topo = self.topo
-        if topo.h != 2 or topo.w[0] != 1:
+        top = nca == 2
+        if topo.h != 2 or topo.w[0] != 1 or not top.any():
             return None
         m1 = topo.m[0]
         num_sw = topo.num_leaves // m1
-        top_flows = [(s, d) for s, d in flows if topo.nca_level(s, d) == 2]
-        if not top_flows:
-            return None
-        edges = [(s // m1, d // m1) for s, d in top_flows]
-        colors = bipartite_edge_coloring(edges, num_sw, num_sw)
-        w2 = topo.w[1]
-        warm: Dict[tuple[int, int], tuple[int, ...]] = {}
-        for (s, d), c in zip(top_flows, colors):
-            warm[(s, d)] = (0, c % w2)
-        return warm
+        edges = np.asarray(flows, dtype=np.int64)[top] // m1
+        colors = bipartite_edge_coloring(list(map(tuple, edges.tolist())), num_sw, num_sw)
+        ports = np.zeros((len(flows), 2), dtype=np.int64)
+        ports[top, 1] = np.asarray(colors, dtype=np.int64) % topo.w[1]
+        return ports, top
 
     def _greedy_and_search(
-        self,
-        flows: list[tuple[int, int]],
-        order: list[int],
-        warm: Dict[tuple[int, int], tuple[int, ...]] | None,
-        rng: np.random.Generator,
-    ) -> tuple[Dict[tuple[int, int], tuple[int, ...]], tuple[int, int]]:
-        topo = self.topo
-        links: defaultdict[int, _LinkState] = defaultdict(_LinkState)
-        assignment: Dict[tuple[int, int], tuple[int, ...]] = {}
-        flow_links: Dict[tuple[int, int], tuple[int, ...]] = {}
-        cand_cache: Dict[int, list[tuple[int, ...]]] = {}
+        self, lay: _Layout, order: list[int], start: Start, rng: np.random.Generator
+    ) -> tuple[IntArray, tuple[int, int], int, int]:
+        """Greedy construction in ``order`` from ``start``, then local search.
 
-        def candidates(lvl: int) -> list[tuple[int, ...]]:
-            if lvl not in cand_cache:
-                cand_cache[lvl] = self._candidates(lvl, rng)
-            return cand_cache[lvl]
+        Returns ``(ports, score, evaluations, moves)``.
+        """
+        nca, width, base = lay.nca, lay.width, lay.base
+        ports = start[0].copy()
+        # forced flows keep their all-zero ports: nothing to choose
+        fixed = start[1] | lay.forced
+        cur = base + self._offsets(ports)
+        cur[np.arange(cur.shape[1]) >= width[:, None]] = lay.sentinel
+        load = np.zeros(lay.sentinel + 1, dtype=np.int64)
+        cache: dict[int, tuple[IntArray, IntArray]] = {}
 
-        def place(flow: tuple[int, int], ports: tuple[int, ...]) -> None:
-            s, d = flow
-            lids = self._route_links(s, d, ports)
-            for lid in lids:
-                links[lid].add(s, d)
-            assignment[flow] = ports
-            flow_links[flow] = lids
+        def candidates(lvl: int) -> tuple[IntArray, IntArray]:
+            # lazy, so a sampled level draws from the RNG when first needed
+            if lvl not in cache:
+                cand = self._candidates(lvl, rng)
+                cache[lvl] = cand, self._offsets(cand)
+            return cache[lvl]
 
-        def unplace(flow: tuple[int, int]) -> None:
-            s, d = flow
-            for lid in flow_links[flow]:
-                links[lid].remove(s, d)
-            del assignment[flow]
-            del flow_links[flow]
+        def keys(rows: IntArray) -> IntArray:
+            # fused (max, sumsq) of link costs load + 1; the max drops the
+            # +1, which shifts every key of a flow alike
+            g = load[rows]
+            return g.max(axis=-1, initial=0) * lay.scale + ((g + 1) ** 2).sum(axis=-1)
 
-        def link_cost(state: _LinkState) -> int:
-            # raw flow count: with adapter pseudo-links in the route set
-            # (endpoint-aware mode) this equals the per-link divisor of the
-            # max-min fluid model, so (max, sum-of-squares) minimization
-            # tracks simulated completion time of equal-size phases.
-            return state.num_flows
+        def place_run(flows: IntArray) -> None:
+            if len(flows):
+                np.add.at(load, cur[flows], 1)
+                load[lay.sentinel] = 0
 
-        def link_cost_with(state: _LinkState, s: int, d: int) -> int:
-            return state.num_flows + 1
-
-        def move_cost(flow: tuple[int, int], ports: tuple[int, ...]) -> tuple[int, int]:
-            """(max contention on touched links, sum of squared contentions)."""
-            s, d = flow
-            worst = 0
-            sumsq = 0
-            for lid in self._route_links(s, d, ports):
-                c = link_cost_with(links[lid], s, d)
-                worst = max(worst, c)
-                sumsq += c * c
-            return worst, sumsq
-
-        # -- greedy construction ----------------------------------------
-        for idx in order:
-            flow = flows[idx]
-            s, d = flow
-            lvl = topo.nca_level(s, d)
-            if warm is not None and flow in warm:
-                place(flow, warm[flow])
-                continue
-            if lvl == 0:
-                place(flow, ())
-                continue
-            best_ports: tuple[int, ...] | None = None
-            best_cost: tuple[int, int] | None = None
-            for ports in candidates(lvl):
-                cost = move_cost(flow, ports)
-                if best_cost is None or cost < best_cost:
-                    best_ports, best_cost = ports, cost
-            assert best_ports is not None
-            place(flow, best_ports)
+        # -- greedy construction: fixed flows in bulk between choices ----
+        seq = np.asarray(order, dtype=np.int64)
+        todo = np.flatnonzero(~fixed[seq]).tolist()
+        done = 0
+        for p in todo:
+            place_run(seq[done:p])
+            f = int(seq[p])
+            lvl, w = int(nca[f]), int(width[f])
+            cand, off = candidates(lvl)
+            rows = base[f, :w] + off
+            j = int(keys(rows).argmin())
+            ports[f, :lvl] = cand[j]
+            cur[f, :w] = rows[j]
+            load[rows[j]] += 1
+            done = p + 1
+        place_run(seq[done:])
 
         # -- local search -------------------------------------------------
+        evaluations, moves = len(todo), 0
         for _ in range(self.local_search_passes):
-            global_max = max((link_cost(st) for st in links.values()), default=0)
+            global_max = int(load.max())
             if global_max <= 1:
                 break
-            hot_flows = [
-                f
-                for f, lids in flow_links.items()
-                if any(link_cost(links[lid]) >= global_max for lid in lids)
-            ]
+            # hot flows re-queue behind the rest, in the order visited
+            hot = (load[cur] >= global_max).any(axis=1)[seq]
+            visit = seq[hot]
+            seq = np.concatenate([seq[~hot], visit])
+            visit = visit[~lay.forced[visit]]
+            evaluations += len(visit)
             improved = False
-            for flow in hot_flows:
-                s, d = flow
-                lvl = topo.nca_level(s, d)
-                if lvl == 0:
-                    continue
-                current = assignment[flow]
-                unplace(flow)
-                cur_cost = move_cost(flow, current)
-                best_ports, best_cost = current, cur_cost
-                for ports in candidates(lvl):
-                    if ports == current:
-                        continue
-                    cost = move_cost(flow, ports)
-                    if cost < best_cost:
-                        best_ports, best_cost = ports, cost
-                place(flow, best_ports)
-                if best_ports != current:
+            for f in visit.tolist():
+                lvl, w = int(nca[f]), int(width[f])
+                now = cur[f, :w]
+                load[now] -= 1
+                cand, off = candidates(lvl)
+                rows = base[f, :w] + off
+                costs = keys(rows)
+                j = int(costs.argmin())
+                if costs[j] < keys(now):
+                    ports[f, :lvl] = cand[j]
+                    cur[f, :w] = now = rows[j]
                     improved = True
+                    moves += 1
+                load[now] += 1
             if not improved:
                 break
 
-        global_max = max((link_cost(st) for st in links.values()), default=0)
-        sumsq = sum(link_cost(st) ** 2 for st in links.values())
-        return assignment, (global_max, sumsq)
+        return ports, (int(load.max()), int((load * load).sum())), evaluations, moves

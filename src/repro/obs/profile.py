@@ -9,6 +9,8 @@ the CLI needs it.
   run's wall time without double counting nested spans;
 * :func:`coverage` — the share of root-span wall time attributed to
   named non-root spans (the acceptance gate asks ≥ 0.95);
+* :func:`counter_values` / :func:`format_counters` — the counters a
+  profiled run moved (work done, not time spent);
 * :func:`run_overhead_check` — A/B the ``repro scale`` smoke grid with
   instrumentation compiled out (:func:`repro.obs.deactivated`) vs the
   default instrumented-but-disabled path; CI asserts the ratio ≤ 1.02.
@@ -17,12 +19,15 @@ the CLI needs it.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .metrics import REGISTRY, MetricsRegistry
 from .trace import TRACER, SpanRecord
 
 __all__ = [
+    "counter_values",
     "coverage",
+    "format_counters",
     "format_overhead",
     "format_top_spans",
     "run_overhead_check",
@@ -103,6 +108,27 @@ def format_top_spans(rows: Sequence[dict], wall_s: float | None = None) -> str:
     if wall_s is not None:
         lines.append(f"{'wall':<28} {'':>8} {wall_s:>10.4f}")
     return "\n".join(lines)
+
+
+def counter_values(registry: MetricsRegistry | None = None) -> dict[str, float]:
+    """Every counter's value, keyed as in :meth:`MetricsRegistry.snapshot`."""
+    snap = (registry if registry is not None else REGISTRY).snapshot()
+    return {key: row["value"] for key, row in snap.items() if row["kind"] == "counter"}
+
+
+def format_counters(before: Mapping[str, float], after: Mapping[str, float]) -> str:
+    """The counters that moved between two :func:`counter_values` reads,
+    one ``name  delta`` row each (empty string when none moved)."""
+    moved = [
+        (key, value - before.get(key, 0))
+        for key, value in sorted(after.items())
+        if value != before.get(key, 0)
+    ]
+    if not moved:
+        return ""
+    header = f"{'counter':<28} {'delta':>12}"
+    rows = [f"{key:<28} {delta:>12.10g}" for key, delta in moved]
+    return "\n".join([header, "-" * len(header), *rows])
 
 
 def run_overhead_check(

@@ -320,6 +320,20 @@ class TestProfileCommand:
         # the CLI leaves the global tracer off for the rest of the process
         assert not TRACER.enabled
 
+    def test_spec_profile_reports_optimizer_counters(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "colored-profile",
+            "topologies": ["XGFT(2;4,4;1,2)"],
+            "patterns": ["bit-reversal"],
+            "algorithms": ["colored"],
+            "metrics": ["max_link_load"],
+        }))
+        assert main(["profile", "--spec", str(spec), "-o", str(tmp_path / "prof")]) == 0
+        out = capsys.readouterr().out
+        assert "colored.evaluations" in out
+        assert "colored.moves" in out
+
     def test_spec_and_scale_preset_conflict(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{}")

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import profile as profile_mod
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
+    counter_values,
     coverage,
+    format_counters,
     format_overhead,
     format_top_spans,
     run_overhead_check,
@@ -80,6 +83,23 @@ class TestFormatting:
         assert lines[2].startswith("work")
         assert "50.0%" in lines[2]
         assert lines[-1].startswith("wall")
+
+    def test_counters_show_only_what_moved(self):
+        registry = MetricsRegistry()
+        registry.counter("colored.moves").inc(2)
+        registry.counter("cache.table_hits").inc()
+        registry.gauge("serve.connections").set(5)
+        before = counter_values(registry)
+        assert before == {"cache.table_hits": 1, "colored.moves": 2}
+        registry.counter("colored.moves").inc(3)
+        registry.counter("colored.evaluations").inc(40)
+        lines = format_counters(before, counter_values(registry)).splitlines()
+        assert lines[0].split() == ["counter", "delta"]
+        assert [line.split() for line in lines[2:]] == [
+            ["colored.evaluations", "40"],
+            ["colored.moves", "3"],
+        ]
+        assert format_counters(before, before) == ""
 
     def test_format_overhead_verdicts(self):
         base = {
