@@ -116,8 +116,12 @@ _NULL_CM = nullcontext()
 #: the in-memory route-table cache key: (topology spec, algorithm key, seed)
 MemoKey = tuple[str, str, int]
 
-#: opaque per-run memo shared by the crossbar-reference metrics
+#: opaque per-run memo of the crossbar references of live patterns
+#: (spec-named patterns use the process-wide memo in repro.metrics)
 CrossbarMemo = dict[object, object]
+
+#: per-phase ``(pairs, sizes)`` lists, as :func:`repro.metrics.phase_pairs` returns
+Phases = list[tuple[list[tuple[int, int]], list[int]]]
 
 
 # ----------------------------------------------------------------------
@@ -456,10 +460,17 @@ class Scenario:
         return parse_fault_spec(str(self.faults))
 
     # -- cached evaluation intermediates --------------------------------
-    def _pristine_tables(self, cache: RouteTableCache | None = None) -> list[RouteTable]:
-        """Per-phase pristine route tables (memoized via the table cache)."""
+    def _pristine_tables(
+        self, cache: RouteTableCache | None = None, phases: Phases | None = None
+    ) -> list[RouteTable]:
+        """Per-phase pristine route tables (memoized via the table cache).
+
+        ``phases`` is ``phase_pairs(self.traffic)`` when the caller has
+        it already.
+        """
         cache = cache if cache is not None else self._cache
-        phases = phase_pairs(self.traffic)
+        if phases is None:
+            phases = phase_pairs(self.traffic)
         algorithm = self.routing
         if is_oblivious(algorithm):
             full = cache.all_pairs_table(self.memo_key, algorithm, store_key=self.store_key)
@@ -643,10 +654,12 @@ def evaluate_scenario(
 ) -> ScenarioResult:
     """Evaluate one scenario and return its :class:`ScenarioResult`.
 
-    The sweep engine calls this per grid cell with a shared ``cache``
-    and ``crossbar_memo``; :meth:`Scenario.evaluate` calls it with the
-    scenario's own.  Metric values are computed by the registered
-    :class:`repro.metrics.Metric` callables over one shared
+    The sweep engine calls this per grid cell with a shared ``cache``;
+    :meth:`Scenario.evaluate` calls it with the scenario's own cache and
+    ``crossbar_memo``.  The crossbar reference of a spec-named pattern
+    is memoized process-wide (:mod:`repro.metrics`); ``crossbar_memo``
+    holds those of live patterns.  Metric values are computed by the
+    registered :class:`repro.metrics.Metric` callables over one shared
     :class:`repro.metrics.EvalContext`.  Dynamic scenarios bypass the
     metric registry and record :data:`repro.workloads.DYNAMIC_METRICS`
     regardless of ``metrics`` (see :meth:`Scenario.evaluate`).
@@ -662,7 +675,7 @@ def evaluate_scenario(
     cache = cache if cache is not None else RouteTableCache()
 
     phases = phase_pairs(pattern)
-    tables = scenario._pristine_tables(cache)
+    tables = scenario._pristine_tables(cache, phases)
 
     # degrade-and-repair: faults are realized against the *routed*
     # traffic (adversarial specs cut the most loaded cables of this very
@@ -727,6 +740,7 @@ def evaluate_scenario(
         faults_label=scenario.faults_spec,
         pattern_key=scenario._pattern_key,
         crossbar_memo=crossbar_memo,
+        pattern_spec=None if isinstance(scenario.pattern, Pattern) else scenario.pattern_spec,
     )
     values: dict[str, object] = {}
     for metric in metric_fns:

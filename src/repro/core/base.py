@@ -17,19 +17,78 @@ Algorithms whose per-level port choice is a pure function of endpoint
 label digits (S-mod-k, D-mod-k, the r-NCA family, Random) implement
 :meth:`RoutingAlgorithm.port_array` and get fully vectorized table
 construction for free.
+
+Table construction is array-native end to end: :func:`pair_array` turns
+any batch of pairs into one validated ``(F, 2)`` int64 array at the
+edge, and nothing after it handles a pair as a Python tuple.
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from typing import Union
 
 import numpy as np
+import numpy.typing as npt
 
 from ..topology import XGFT
-from .route import Route, RouteTable
+from .route import IntArray, Route, RouteTable
 
-__all__ = ["RoutingAlgorithm", "RouteTable"]
+__all__ = ["PairInput", "RoutingAlgorithm", "RouteTable", "pair_array"]
+
+#: what :meth:`RoutingAlgorithm.build_table` accepts: an ``(F, 2)``
+#: integer array or any iterable of ``(src, dst)`` pairs
+PairInput = Union[npt.NDArray[np.integer], Iterable[tuple[int, int]]]
+
+
+def pair_array(pairs: PairInput, num_leaves: int) -> IntArray:
+    """The ``(F, 2)`` int64 array of a batch of ``(src, dst)`` leaf pairs.
+
+    The one place routing input is converted and checked: an integer
+    array passes through (cast to int64 if needed), any other iterable
+    of pairs is converted once.  Raises ``ValueError`` for a batch that
+    is not ``(F, 2)`` shaped, and for the first pair holding a
+    non-integer endpoint or one outside ``[0, num_leaves)``.  The range
+    check is one vectorized min/max.
+    """
+    if isinstance(pairs, np.ndarray):
+        arr = pairs
+    else:
+        try:
+            arr = np.asarray(pairs if isinstance(pairs, Sequence) else list(pairs))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"pairs must be (src, dst) leaf-id pairs: {exc}") from None
+    if arr.ndim == 1 and arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must be (src, dst) pairs of shape (F, 2), got shape {arr.shape}")
+    if len(arr) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        f = _first_non_integer(arr)
+        raise ValueError(
+            f"pair {tuple(arr[f].tolist())} at row {f} is not a pair of integer "
+            f"leaf ids (dtype {arr.dtype})"
+        )
+    if arr.min() < 0 or arr.max() >= num_leaves:
+        f = int(np.flatnonzero(((arr < 0) | (arr >= num_leaves)).any(axis=1))[0])
+        raise ValueError(
+            f"pair {tuple(arr[f].tolist())} at row {f} has an endpoint outside "
+            f"the leaf range [0, {num_leaves})"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
+def _first_non_integer(arr: np.ndarray) -> int:
+    """Row of the first non-integral value (row 0 if none is numeric)."""
+    try:
+        with np.errstate(invalid="ignore"):
+            frac = arr.astype(np.float64) % 1 != 0
+    except (TypeError, ValueError):
+        return 0
+    rows = np.flatnonzero(frac.any(axis=1))
+    return int(rows[0]) if len(rows) else 0
 
 
 class RoutingAlgorithm(ABC):
@@ -47,12 +106,14 @@ class RoutingAlgorithm(ABC):
         self.topo = topo
 
     # -- pattern hook ---------------------------------------------------
-    def prepare(self, pairs: Sequence[tuple[int, int]]) -> None:
+    def prepare(self, pairs: PairInput) -> None:
         """Observe the communication pattern before routing it.
 
         Oblivious algorithms ignore this (that is what *oblivious* means);
         the pattern-aware Colored baseline overrides it.  Called by
-        :meth:`build_table` with the exact pair list being routed.
+        :meth:`build_table` with the validated ``(F, 2)`` int64 array of
+        the exact pairs being routed; overrides that may also be called
+        directly go through :func:`pair_array` first.
         """
 
     # -- scalar interface -------------------------------------------------
@@ -102,16 +163,17 @@ class RoutingAlgorithm(ABC):
                 uniq_ports[i, : len(seq)] = seq
         return uniq_ports[inverse]
 
-    def build_table(self, pairs: Iterable[tuple[int, int]]) -> RouteTable:
-        """Route a batch of pairs into a :class:`RouteTable`."""
-        pair_list = [(int(s), int(d)) for s, d in pairs]
-        self.prepare(pair_list)
-        if pair_list:
-            src = np.asarray([p[0] for p in pair_list], dtype=np.int64)
-            dst = np.asarray([p[1] for p in pair_list], dtype=np.int64)
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
+    def build_table(self, pairs: PairInput) -> RouteTable:
+        """Route a batch of pairs into a :class:`RouteTable`.
+
+        ``pairs`` is an ``(F, 2)`` integer array or any iterable of
+        ``(src, dst)`` pairs; :func:`pair_array` converts and validates
+        it once, and :meth:`prepare` receives the resulting array.
+        """
+        arr = pair_array(pairs, self.topo.num_leaves)
+        self.prepare(arr)
+        src = np.ascontiguousarray(arr[:, 0])
+        dst = np.ascontiguousarray(arr[:, 1])
         nca = self.topo.nca_level_array(src, dst)
         if type(self).port_array is RoutingAlgorithm.port_array:
             # scalar-only algorithm: one up_ports call per unique pair
@@ -125,13 +187,22 @@ class RoutingAlgorithm(ABC):
         return RouteTable(self.topo, src, dst, nca, ports)
 
     def all_pairs_table(self, include_self: bool = False) -> RouteTable:
-        """Route every ordered leaf pair (used by the Fig.-4 route census)."""
+        """Route every ordered leaf pair (used by the Fig.-4 route census).
+
+        Rows are source-major with destinations ascending.  The pair
+        array is built column-major, so the table's ``src`` and ``dst``
+        columns are views into it, not copies.
+        """
         n = self.topo.num_leaves
-        src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        per_src = n if include_self else n - 1
+        pairs = np.empty((n * per_src, 2), dtype=np.int64, order="F")
+        pairs[:, 0] = np.repeat(np.arange(n, dtype=np.int64), per_src)
+        dst = pairs[:, 1].reshape(n, per_src)
+        dst[:] = np.arange(per_src, dtype=np.int64)
         if not include_self:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-        return self.build_table(zip(src.tolist(), dst.tolist()))
+            # skip the diagonal: destinations at or above the source shift up one
+            dst += dst >= np.arange(n, dtype=np.int64)[:, None]
+        return self.build_table(pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(topo={self.topo.spec()})"

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -50,7 +50,7 @@ import numpy.typing as npt
 from ..obs import active as _obs_active
 from ..obs import metrics as _metrics
 from ..topology import XGFT
-from .base import RoutingAlgorithm
+from .base import PairInput, RoutingAlgorithm, pair_array
 from .dmodk import DModK
 from .smodk import SModK, source_digit_port
 
@@ -60,6 +60,8 @@ IntArray = npt.NDArray[np.int64]
 BoolArray = npt.NDArray[np.bool_]
 #: an optimizer start: dense ``(F, h)`` up-ports and the flows it places
 Start = tuple[IntArray, BoolArray]
+#: the optimizer's flows: an ``(F, 2)`` pair array (or a list of pairs)
+Flows = Union[IntArray, Sequence[tuple[int, int]]]
 
 
 def bipartite_edge_coloring(
@@ -219,11 +221,14 @@ class Colored(RoutingAlgorithm):
     # ------------------------------------------------------------------
     # RoutingAlgorithm interface
     # ------------------------------------------------------------------
-    def prepare(self, pairs: Sequence[tuple[int, int]]) -> None:
-        flows = sorted({(s, d) for s, d in pairs if s != d})
+    def prepare(self, pairs: PairInput) -> None:
         n = self.topo.num_leaves
-        ports, _ = self._optimize(flows)
-        self._keys = np.asarray([s * n + d for s, d in flows], dtype=np.int64)
+        arr = pair_array(pairs, n)
+        src, dst = arr[:, 0], arr[:, 1]
+        # sorted distinct keys src * n + dst = the non-self pairs in (src, dst) order
+        keys = np.unique((src * n + dst)[src != dst])
+        ports, _ = self._optimize(np.stack(np.divmod(keys, n), axis=1))
+        self._keys = keys
         self._ports = ports
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -262,9 +267,9 @@ class Colored(RoutingAlgorithm):
             prefix += ports[:, i] * topo.wprod(i)
         return out
 
-    def _layout(self, flows: list[tuple[int, int]]) -> _Layout:
+    def _layout(self, flows: Flows) -> _Layout:
         topo, lo = self.topo, self._lo
-        pairs = np.asarray(flows, dtype=np.int64)
+        pairs = np.asarray(flows, dtype=np.int64).reshape(-1, 2)
         src, dst = pairs[:, 0], pairs[:, 1]
         nca = topo.nca_level_array(src, dst)
         base = np.empty((len(flows), 2 * (topo.h - lo)), dtype=np.int64)
@@ -286,13 +291,14 @@ class Colored(RoutingAlgorithm):
             nca, single[nca], 2 * np.maximum(nca - lo, 0), base, topo.num_directed_links, scale
         )
 
-    def _optimize(self, flows: list[tuple[int, int]]) -> tuple[IntArray, tuple[int, int]]:
+    def _optimize(self, flows: Flows) -> tuple[IntArray, tuple[int, int]]:
         """The best assignment of sorted, distinct, non-self ``flows``.
 
         Returns the dense ``(F, h)`` up-port matrix in ``flows`` order
         and its ``(max flows per link, sum of squared flows)`` score.
         """
-        if not flows:
+        flows = np.asarray(flows, dtype=np.int64).reshape(-1, 2)
+        if not len(flows):
             return np.zeros((0, self.topo.h), dtype=np.int64), (0, 0)
         lay = self._layout(flows)
         rng = np.random.default_rng(np.random.SeedSequence([0xC0105ED, self.seed & 0xFFFFFFFF]))
@@ -326,12 +332,12 @@ class Colored(RoutingAlgorithm):
         assert best is not None
         return best
 
-    def _modk_warm_starts(self, flows: list[tuple[int, int]]) -> list[Start]:
+    def _modk_warm_starts(self, flows: IntArray) -> list[Start]:
         """The S-mod-k and D-mod-k assignments as optimizer seeds."""
         every = np.ones(len(flows), dtype=bool)
         return [(cls(self.topo).build_table(flows).ports, every) for cls in (SModK, DModK)]
 
-    def _warm_start(self, flows: list[tuple[int, int]], nca: IntArray) -> Start | None:
+    def _warm_start(self, flows: IntArray, nca: IntArray) -> Start | None:
         """König edge-coloring warm start for two-level topologies."""
         topo = self.topo
         top = nca == 2
@@ -339,7 +345,7 @@ class Colored(RoutingAlgorithm):
             return None
         m1 = topo.m[0]
         num_sw = topo.num_leaves // m1
-        edges = np.asarray(flows, dtype=np.int64)[top] // m1
+        edges = flows[top] // m1
         colors = bipartite_edge_coloring(list(map(tuple, edges.tolist())), num_sw, num_sw)
         ports = np.zeros((len(flows), 2), dtype=np.int64)
         ports[top, 1] = np.asarray(colors, dtype=np.int64) % topo.w[1]

@@ -33,10 +33,3 @@ class DModK(RoutingAlgorithm):
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return source_digit_port(self.topo, level, dst)
-
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        lvl = self.topo.nca_level(src, dst)
-        d = np.asarray([dst], dtype=np.int64)
-        return tuple(
-            int(source_digit_port(self.topo, level, d)[0]) for level in range(lvl)
-        )

@@ -23,12 +23,10 @@ Two schemes built from the paper's own suggestions:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..topology import XGFT
-from .base import RoutingAlgorithm
+from .base import PairInput, RoutingAlgorithm, pair_array
 from .dmodk import DModK
 from .rnca import RNCADown, RNCAUp
 from .smodk import SModK
@@ -61,16 +59,11 @@ class AutoModK(RoutingAlgorithm):
         """Name of the currently delegated scheme."""
         return self._delegate.name
 
-    def prepare(self, pairs: Sequence[tuple[int, int]]) -> None:
-        out_deg: dict[int, int] = {}
-        in_deg: dict[int, int] = {}
-        for s, d in pairs:
-            if s == d:
-                continue
-            out_deg[s] = out_deg.get(s, 0) + 1
-            in_deg[d] = in_deg.get(d, 0) + 1
-        max_out = max(out_deg.values(), default=0)
-        max_in = max(in_deg.values(), default=0)
+    def prepare(self, pairs: PairInput) -> None:
+        arr = pair_array(pairs, self.topo.num_leaves)
+        arr = arr[arr[:, 0] != arr[:, 1]]
+        max_out = int(np.bincount(arr[:, 0], minlength=1).max())
+        max_in = int(np.bincount(arr[:, 1], minlength=1).max())
         if max_out > max_in:
             self._delegate = SModK(self.topo)
         else:
@@ -78,9 +71,6 @@ class AutoModK(RoutingAlgorithm):
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return self._delegate.port_array(level, src, dst)
-
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        return self._delegate.up_ports(src, dst)
 
 
 class BestOfKRNCA(RoutingAlgorithm):
@@ -127,14 +117,11 @@ class BestOfKRNCA(RoutingAlgorithm):
         rng = np.random.default_rng(
             np.random.SeedSequence([0xBE5707, self.seed & 0xFFFFFFFF])
         )
-        probe_pairs = [
-            [
-                (int(s), int(d))
-                for s, d in enumerate(rng.permutation(topo.num_leaves))
-                if s != d
-            ]
-            for _ in range(self.probes)
-        ]
+        leaves = np.arange(topo.num_leaves, dtype=np.int64)
+        probe_pairs = []
+        for _ in range(self.probes):
+            pairs = np.stack((leaves, rng.permutation(topo.num_leaves)), axis=1)
+            probe_pairs.append(pairs[pairs[:, 0] != pairs[:, 1]])
         best: RoutingAlgorithm | None = None
         best_key: tuple[int, float] | None = None
         for i in range(self.k):
@@ -151,15 +138,10 @@ class BestOfKRNCA(RoutingAlgorithm):
         self.selected_score = best_key
 
     @staticmethod
-    def _probe_contention(
-        candidate: RoutingAlgorithm, pairs: list[tuple[int, int]]
-    ) -> int:
+    def _probe_contention(candidate: RoutingAlgorithm, pairs: np.ndarray) -> int:
         from ..contention.metrics import max_network_contention
 
         return max_network_contention(candidate.build_table(pairs))
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return self._delegate.port_array(level, src, dst)
-
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        return self._delegate.up_ports(src, dst)

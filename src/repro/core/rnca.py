@@ -49,13 +49,6 @@ class _RelabeledModK(RoutingAlgorithm):
         endpoint = src if self._use_source else dst
         return self.maps.port_array(level, endpoint)
 
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        lvl = self.topo.nca_level(src, dst)
-        endpoint = np.asarray([src if self._use_source else dst], dtype=np.int64)
-        return tuple(
-            int(self.maps.port_array(level, endpoint)[0]) for level in range(lvl)
-        )
-
 
 class RNCAUp(_RelabeledModK):
     """Random NCA Up (``r-NCA-u``): S-mod-k on relabeled source digits.

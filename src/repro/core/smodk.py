@@ -42,10 +42,3 @@ class SModK(RoutingAlgorithm):
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return source_digit_port(self.topo, level, src)
-
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        lvl = self.topo.nca_level(src, dst)
-        s = np.asarray([src], dtype=np.int64)
-        return tuple(
-            int(source_digit_port(self.topo, level, s)[0]) for level in range(lvl)
-        )

@@ -375,7 +375,12 @@ def execute_run(
     config=None,
     _crossbar_memo: dict | None = None,
 ) -> dict:
-    """Execute one grid cell through the facade and return its record."""
+    """Execute one grid cell through the facade and return its record.
+
+    A cell names its pattern by spec, so its crossbar reference comes
+    from the process-wide memo of :mod:`repro.metrics`;
+    ``_crossbar_memo`` only serves live patterns.
+    """
     from ..sim.config import PAPER_CONFIG
 
     result = evaluate_scenario(
@@ -450,7 +455,6 @@ def _execute_group(
     spec_d, indexed_runs, store_root, trace = payload
     spec = SweepSpec.from_dict(spec_d)
     cache = RouteTableCache(store=store_root)
-    crossbar_memo: dict = {}
     base_spans = 0
     if trace:
         # re-arming per-process infrastructure, not sharing state:
@@ -461,9 +465,7 @@ def _execute_group(
     for index, run_d in indexed_runs:
         run = RunSpec(**run_d)
         with TRACER.span("sweep.run", run_id=run.run_id) if trace else _NULL_CM:
-            record = execute_run(
-                run, spec.metrics, spec.engine, cache, _crossbar_memo=crossbar_memo
-            )
+            record = execute_run(run, spec.metrics, spec.engine, cache)
         out.append((index, record))
     obs = aggregate_spans(TRACER.spans()[base_spans:]) if trace else {}
     return out, cache.stats(), obs

@@ -32,11 +32,11 @@ structurally oblivious and inherit the all-pairs memoization.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.base import RoutingAlgorithm
+from ..core.base import PairInput, RoutingAlgorithm, pair_array
 from ..core.factory import ALGORITHMS, is_oblivious, make_algorithm
 from ..topology import XGFT
 from .graph import GeneralGraph, GraphError
@@ -104,16 +104,15 @@ class PathRoutingAlgorithm(RoutingAlgorithm):
     def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
         raise TypeError(f"{self.name} emits arc paths, not XGFT port digits")
 
-    def build_table(self, pairs: Iterable[tuple[int, int]]) -> PathTable:
+    def build_table(self, pairs: PairInput) -> PathTable:
         """Route a batch of pairs into a :class:`PathTable`."""
-        pair_list = [(int(s), int(d)) for s, d in pairs]
-        self.prepare(pair_list)
-        if not pair_list:
+        arr = pair_array(pairs, self.topo.num_leaves)
+        self.prepare(arr)
+        if not len(arr):
             empty = np.empty(0, dtype=np.int64)
             return PathTable(self.topo, empty, empty, np.zeros(1, dtype=np.int64), empty)
-        src = np.asarray([p[0] for p in pair_list], dtype=np.int64)
-        dst = np.asarray([p[1] for p in pair_list], dtype=np.int64)
-        uniq, inverse = np.unique(np.stack([src, dst], axis=1), axis=0, return_inverse=True)
+        src, dst = arr[:, 0], arr[:, 1]
+        uniq, inverse = np.unique(arr, axis=0, return_inverse=True)
         uniq_paths = []
         for s, d in uniq.tolist():
             if s == d:

@@ -23,10 +23,19 @@ Third parties extend the set by registration::
 after which the name works in sweep specs, ``repro.api`` scenarios and
 the CLI.  All built-in metrics are lower-is-better, which is what the
 regression comparison (``repro compare``) assumes.
+
+The slowdown denominator (the Full-Crossbar time of the pattern) is
+memoized per process for spec-named patterns: one entry per (pattern
+spec, machine size, engine, network config), with the registered
+pattern builder and engine in the key, so re-registering either name
+misses.  At most :data:`CROSSBAR_MEMO_SIZE` entries are kept, least
+recently used first out.  Live :class:`~repro.patterns.Pattern`
+objects stay in the caller's own memo, keyed by identity.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,9 +44,12 @@ import numpy as np
 from .contention import link_load_summary, max_network_contention, routes_per_nca
 from .core.base import RouteTable
 from .faults import inflation_ratio
+from .obs import active as _obs_active
+from .obs import metrics as _obs_metrics
+from .patterns.registry import pattern_builder
 from .registry import Registry
 from .sim.config import PAPER_CONFIG, NetworkConfig
-from .sim.engines import DEFAULT_ENGINE, is_fluid_engine
+from .sim.engines import DEFAULT_ENGINE, is_fluid_engine, resolve_engine
 
 __all__ = [
     "DEFAULT_METRICS",
@@ -47,6 +59,7 @@ __all__ = [
     "Metric",
     "EvalContext",
     "SKIPPED",
+    "CROSSBAR_MEMO_SIZE",
     "register_metric",
     "available_metrics",
     "known_metric_names",
@@ -59,6 +72,16 @@ SKIPPED = object()
 
 #: the metric registry: name -> :class:`Metric`
 METRICS: Registry = Registry("metric")
+
+#: entries the process-wide crossbar-reference memo keeps
+CROSSBAR_MEMO_SIZE = 256
+
+#: ``key -> (t_ref, pattern builder, engine)`` for spec-named patterns.
+#: The key holds the ids of the builder and engine; the entry holds the
+#: objects, so no other object can take either id while it exists.  A
+#: pure cache: a worker process filling its own copy computes the same
+#: values, so ``jobs=1`` and ``jobs=N`` sweeps still agree.
+_CROSSBAR_REFS: OrderedDict[tuple, tuple[float, object, object]] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -126,10 +149,14 @@ class EvalContext:
     #: run identity for diagnostics (e.g. the replay lossy-fault error)
     label: str = ""
     faults_label: str = "none"
-    #: crossbar-reference memo key component (the pattern spec string)
+    #: per-call crossbar-memo key component of a live pattern
     pattern_key: str = ""
-    #: shared ``(pattern_key, num_leaves, engine) -> t_ref`` memo
+    #: the caller's ``(pattern_key, num_leaves, engine, config) -> t_ref``
+    #: memo, used for live patterns only
     crossbar_memo: dict | None = None
+    #: the registry spec of a spec-named pattern (``None`` for a live
+    #: Pattern); spec-named references go to the process-wide memo
+    pattern_spec: str | None = None
 
     _load_aggregate: tuple | None = field(default=None, repr=False)
     _sim_time: float | None = field(default=None, repr=False)
@@ -261,6 +288,7 @@ def crossbar_time_of_phases(
 
 
 def crossbar_reference(pattern, topo, engine: str, config: NetworkConfig) -> float:
+    """Full-Crossbar time of the whole pattern (the slowdown denominator)."""
     from .sim.network import crossbar_pattern_time
 
     if is_fluid_engine(engine):
@@ -356,17 +384,41 @@ def _slowdown(ctx: EvalContext):
             ctx.phases, ctx.topo.num_leaves, ctx.config, engine=ctx.engine
         )
         return sim_time / t_ref if t_ref > 0 else 1.0
-    memo = ctx.crossbar_memo if ctx.crossbar_memo is not None else {}
-    # the config is part of the key: a Scenario's memo outlives a single
-    # evaluate() call, and a re-evaluation under a different config must
-    # not divide by the old config's reference time
-    ref_key = (ctx.pattern_key, ctx.topo.num_leaves, ctx.engine, ctx.config)
-    t_ref = memo.get(ref_key)
-    if t_ref is None:
-        t_ref = memo[ref_key] = crossbar_reference(
-            ctx.pattern, ctx.topo, ctx.engine, ctx.config
-        )
-    return sim_time / t_ref
+    return sim_time / _memoized_reference(ctx)
+
+
+def _memoized_reference(ctx: EvalContext) -> float:
+    """The whole pattern's crossbar time, from the memo when possible.
+
+    The config is part of every key: a re-evaluation under a different
+    config must not divide by the old config's reference time.
+    """
+    num_leaves = ctx.topo.num_leaves
+    if ctx.pattern_spec is None:
+        # a live Pattern: the caller's memo, keyed by identity
+        memo = ctx.crossbar_memo if ctx.crossbar_memo is not None else {}
+        key: tuple = (ctx.pattern_key, num_leaves, ctx.engine, ctx.config)
+        t_ref = memo.get(key)
+        hit = t_ref is not None
+        if t_ref is None:
+            t_ref = memo[key] = crossbar_reference(ctx.pattern, ctx.topo, ctx.engine, ctx.config)
+    else:
+        builder = pattern_builder(ctx.pattern_spec)
+        engine = resolve_engine(ctx.engine)
+        key = (ctx.pattern_spec, id(builder), num_leaves, engine.name, id(engine), ctx.config)
+        entry = _CROSSBAR_REFS.get(key)
+        hit = entry is not None
+        if entry is not None:
+            _CROSSBAR_REFS.move_to_end(key)
+            t_ref = entry[0]
+        else:
+            t_ref = crossbar_reference(ctx.pattern, ctx.topo, ctx.engine, ctx.config)
+            _CROSSBAR_REFS[key] = (t_ref, builder, engine)
+            if len(_CROSSBAR_REFS) > CROSSBAR_MEMO_SIZE:
+                _CROSSBAR_REFS.popitem(last=False)
+    if _obs_active():
+        _obs_metrics.counter("metrics.crossbar_hits" if hit else "metrics.crossbar_computes").inc()
+    return t_ref
 
 
 #: metrics computed when a spec does not name its own

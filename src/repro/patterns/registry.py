@@ -29,6 +29,8 @@ name does: :class:`repro.api.Scenario`, sweep specs, the CLI.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..registry import Registry, parse_spec
@@ -43,7 +45,13 @@ from .generators import (
     transpose,
 )
 
-__all__ = ["PATTERNS", "register_pattern", "resolve_pattern", "available_patterns"]
+__all__ = [
+    "PATTERNS",
+    "register_pattern",
+    "resolve_pattern",
+    "available_patterns",
+    "pattern_builder",
+]
 
 #: the pattern registry: name -> ``builder(num_leaves, **params) -> Pattern``
 PATTERNS: Registry = Registry("pattern")
@@ -153,6 +161,16 @@ def _parse_pattern_spec(key: str) -> tuple[str, dict]:
         if key.startswith(head + "-") and key[len(head) + 1 :].isdigit():
             return head, {_LEGACY_SUFFIX_PARAM[head]: int(key[len(head) + 1 :])}
     return key, {}
+
+
+def pattern_builder(spec: str) -> Callable[..., Pattern]:
+    """The registered builder a pattern spec resolves to.
+
+    Its identity changes when the name is re-registered, so keys derived
+    from a spec (the crossbar-reference memo) can tell the two apart.
+    """
+    name, _ = _parse_pattern_spec(str(spec).lower().strip())
+    return PATTERNS.get(name)
 
 
 def resolve_pattern(spec: str | Pattern, num_leaves: int) -> Pattern:

@@ -311,7 +311,7 @@ class DynamicDriver:
             # take() keeps this path table-representation-agnostic:
             # XGFT port tables and graph path tables subset identically
             return self._full.take(idx), kept
-        table = self.algorithm.build_table(list(zip(src.tolist(), dst.tolist())))
+        table = self.algorithm.build_table(np.stack((src, dst), axis=1))
         if self.degraded is not None:
             from ..faults import repair_table
 
