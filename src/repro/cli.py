@@ -128,6 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
             "$REPRO_TRACE=<prefix> does the same for any command)",
         )
 
+    def add_regression_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--baseline",
+            type=Path,
+            default=None,
+            help="prior artifact to regression-compare against (nonzero exit on regression)",
+        )
+        p.add_argument(
+            "--tolerance",
+            type=float,
+            default=0.05,
+            help="relative regression tolerance for --baseline",
+        )
+
     def add_sweep_args(p: argparse.ArgumentParser, default_seeds: int) -> None:
         p.add_argument("--app", choices=("wrf", "cg"), required=True)
         p.add_argument(
@@ -245,18 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fnmatch/substring filter on run ids ('topology/pattern/algorithm@seed')",
     )
     ps.add_argument("--output", "-o", type=Path, default=Path("sweep_results.json"))
-    ps.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="prior artifact to regression-compare against (nonzero exit on regression)",
-    )
-    ps.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="relative regression tolerance for --baseline",
-    )
+    add_regression_args(ps)
     ps.add_argument(
         "--max-rows", type=int, default=40, help="run rows to print (artifact always holds all)"
     )
@@ -372,18 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument(
         "--output", "-o", type=Path, default=None, help="also write the sweep artifact JSON"
     )
-    pd.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="prior artifact to regression-compare against (nonzero exit on regression)",
-    )
-    pd.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="relative regression tolerance for --baseline",
-    )
+    add_regression_args(pd)
     add_trace_arg(pd, "repro_dynamic")
 
     psc = sub.add_parser(
@@ -586,18 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument(
         "--output", "-o", type=Path, default=None, help="write the sweep artifact JSON"
     )
-    pg.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="prior artifact to regression-compare against (nonzero exit on regression)",
-    )
-    pg.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="relative regression tolerance for --baseline",
-    )
+    add_regression_args(pg)
     add_trace_arg(pg, "repro_graphs")
 
     pl = sub.add_parser(
@@ -711,6 +692,17 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> experiments.SweepSpec:
     return experiments.SweepSpec.from_dict(grid)
 
 
+def _baseline_gate(args: argparse.Namespace, result) -> int:
+    """Exit code of the ``--baseline`` regression gate (0 without one)."""
+    if args.baseline is None:
+        return 0
+    comparison = experiments.sweep_compare(
+        experiments.load_artifact(args.baseline), result.to_dict(), rel_tol=args.tolerance
+    )
+    print(experiments.format_sweep_compare(comparison))
+    return 0 if comparison.ok else 1
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec_from_args(args)
     result = experiments.run_sweep(
@@ -731,14 +723,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{cache.get('table_hits', 0)} reused{store_note})"
     )
     print(f"artifact written to {path}")
-    if args.baseline is not None:
-        baseline = experiments.load_artifact(args.baseline)
-        comparison = experiments.sweep_compare(
-            baseline, result.to_dict(), rel_tol=args.tolerance
-        )
-        print(experiments.format_sweep_compare(comparison))
-        return 0 if comparison.ok else 1
-    return 0
+    return _baseline_gate(args, result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -914,14 +899,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     if args.output is not None:
         path = experiments.write_artifact(result, args.output)
         print(f"artifact written to {path}")
-    if args.baseline is not None:
-        baseline = experiments.load_artifact(args.baseline)
-        comparison = experiments.sweep_compare(
-            baseline, result.to_dict(), rel_tol=args.tolerance
-        )
-        print(experiments.format_sweep_compare(comparison))
-        return 0 if comparison.ok else 1
-    return 0
+    return _baseline_gate(args, result)
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
@@ -1039,14 +1017,7 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
     if args.output is not None:
         path = experiments.write_artifact(result, args.output)
         print(f"artifact written to {path}")
-    if args.baseline is not None:
-        baseline = experiments.load_artifact(args.baseline)
-        comparison = experiments.sweep_compare(
-            baseline, result.to_dict(), rel_tol=args.tolerance
-        )
-        print(experiments.format_sweep_compare(comparison))
-        return 0 if comparison.ok else 1
-    return 0
+    return _baseline_gate(args, result)
 
 
 def _parse_bytes(text: str) -> int:

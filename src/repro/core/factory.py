@@ -67,10 +67,6 @@ ALGORITHMS.register(
     BestOfKRNCA.name, lambda topo, seed=0, **kw: BestOfKRNCA(topo, seed=seed, **kw)
 )
 
-#: backwards-compatible alias: the registry's live name->builder map
-#: (pre-registry code mutated this dict directly; it is the same object)
-_BUILDERS = ALGORITHMS._items
-
 #: algorithms whose routes do not depend on a seed
 DETERMINISTIC_ALGORITHMS = (SModK.name, DModK.name)
 #: algorithms evaluated over many seeds in the paper's boxplots

@@ -25,9 +25,8 @@ Two granularities live here:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, cast
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -134,10 +133,6 @@ class Route:
         return f"{self.src}-><{ports}>->{self.dst}"
 
 
-#: the named array attributes legacy dict-style access may ask for
-_DICT_FIELDS = ("src", "dst", "nca_level", "ports")
-
-
 class RouteTable:
     """Routes for a batch of ``(src, dst)`` pairs, stored as arrays.
 
@@ -176,26 +171,6 @@ class RouteTable:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __getitem__(self, key: str) -> IntArray:
-        """Legacy dict-of-arrays access (``table["ports"]``), deprecated.
-
-        The table predates its typed API as an ad-hoc mapping of arrays;
-        old callers keep working through this shim, new code uses the
-        attributes directly.
-        """
-        if isinstance(key, str) and key in _DICT_FIELDS:
-            warnings.warn(
-                f"dict-style RouteTable access (table[{key!r}]) is deprecated; "
-                f"use the {key} attribute",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return cast(IntArray, getattr(self, key))
-        raise KeyError(
-            f"RouteTable has no column {key!r}; dict-style access covers "
-            f"{', '.join(_DICT_FIELDS)} only (deprecated — use attributes)"
-        )
 
     # ------------------------------------------------------------------
     # Point and batch lookup

@@ -23,18 +23,14 @@ from ..sim.engines import DEFAULT_ENGINE, is_fluid_engine
 from ..sim.network import crossbar_pattern_time, simulate_pattern_fluid
 from ..topology import XGFT
 
-__all__ = ["slowdown", "crossbar_time", "Engine"]
-
-#: engine names are registry keys now; kept as ``str`` for backwards
-#: compatibility with the pre-registry ``Literal`` alias
-Engine = str
+__all__ = ["slowdown", "crossbar_time"]
 
 
 def crossbar_time(
     pattern: Pattern,
     num_leaves: int,
     config: NetworkConfig = PAPER_CONFIG,
-    engine: Engine = DEFAULT_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> float:
     """Full-Crossbar reference time for a pattern."""
     if is_fluid_engine(engine):
@@ -50,7 +46,7 @@ def slowdown(
     pattern: Pattern,
     seed: int = 0,
     config: NetworkConfig = PAPER_CONFIG,
-    engine: Engine = DEFAULT_ENGINE,
+    engine: str = DEFAULT_ENGINE,
     reference_time: float | None = None,
     **algorithm_kwargs,
 ) -> float:

@@ -35,7 +35,6 @@ import json
 import multiprocessing
 import platform
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatch
@@ -56,8 +55,7 @@ from ..faults import parse_fault_spec
 from ..metrics import DEFAULT_METRICS, KNOWN_METRICS, METRICS, RESILIENCE_METRICS
 from ..obs import active as _obs_active
 from ..obs.trace import TRACER, aggregate_spans, merge_span_aggregates
-from ..patterns import Pattern
-from ..patterns.registry import resolve_pattern as _resolve_pattern
+from ..patterns.registry import resolve_pattern
 from ..registry import parse_spec
 from ..sim.engines import DEFAULT_ENGINE, resolve_engine
 from ..topology import slimmed_two_level
@@ -78,8 +76,6 @@ __all__ = [
     "plan_runs",
     "run_sweep",
     "execute_run",
-    "resolve_pattern",
-    "parse_algorithm_spec",
     "subset_table",
     "write_artifact",
     "load_artifact",
@@ -271,39 +267,6 @@ class RunSpec:
 
 
 # ----------------------------------------------------------------------
-# Deprecated pre-registry entry points
-# ----------------------------------------------------------------------
-def parse_algorithm_spec(spec: str) -> tuple[str, dict]:
-    """Deprecated: use :func:`repro.registry.parse_spec`.
-
-    The algorithm-spec mini-parser grew into the registry-wide spec DSL;
-    this shim delegates and warns.
-    """
-    warnings.warn(
-        "repro.experiments.sweep.parse_algorithm_spec is deprecated; "
-        "use repro.registry.parse_spec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return parse_spec(spec)
-
-
-def resolve_pattern(name: str, num_leaves: int) -> Pattern:
-    """Deprecated: use :func:`repro.patterns.registry.resolve_pattern`.
-
-    Pattern resolution moved out of the sweep engine into the pattern
-    registry; this shim delegates and warns.
-    """
-    warnings.warn(
-        "repro.experiments.sweep.resolve_pattern is deprecated; "
-        "use repro.patterns.registry.resolve_pattern",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _resolve_pattern(name, num_leaves)
-
-
-# ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
 def plan_runs(spec: SweepSpec, run_filter: str | None = None) -> tuple[RunSpec, ...]:
@@ -329,7 +292,7 @@ def plan_runs(spec: SweepSpec, run_filter: str | None = None) -> tuple[RunSpec, 
     for topo_spec in spec.topologies:
         topo = resolve_topology(topo_spec)
         for pattern in spec.patterns:
-            _resolve_pattern(pattern, topo.num_leaves)  # validate fit
+            resolve_pattern(pattern, topo.num_leaves)  # validate fit
         for workload in spec.workloads:
             if workload != "none":
                 # validate fit; seed sensitivity is a property of the

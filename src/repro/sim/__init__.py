@@ -1,11 +1,16 @@
 """Network simulation engines (paper Sec. VI-B).
 
 * :mod:`repro.sim.fluid` — scalar max-min fair fluid model (the
-  reference implementation);
+  reference implementation and test oracle);
+* :mod:`repro.sim.maxmin` — the parallel progressive-filling kernel
+  and the flow slots / batch ingest both vectorized engines share;
 * :mod:`repro.sim.fluid_vec` — vectorized batch fluid engine (the
-  default sweep workhorse; same allocation, struct-of-arrays + CSR);
+  default sweep workhorse; same allocation, one full refill per epoch);
+* :mod:`repro.sim.fluid_inc` — incremental fluid engine for dynamic
+  traffic (component-local refills, lazy draining);
 * :mod:`repro.sim.engines` — the engine registry every backend
-  selection resolves through (``fluid`` / ``fluid-vec`` / ``replay``);
+  selection resolves through (``fluid`` / ``fluid-vec`` /
+  ``fluid-vec-inc`` / ``replay``);
 * :mod:`repro.sim.venus` — flit-level event-driven engine (the Venus
   substitute; used for validation and latency-sensitive studies);
 * :mod:`repro.sim.network` — the link-space glue and the Full-Crossbar

@@ -7,6 +7,7 @@ model, link speed of 2 Gbits/s, flit size of 8 bytes, and segment size of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["NetworkConfig", "PAPER_CONFIG"]
@@ -29,8 +30,12 @@ class NetworkConfig:
     buffer_segments: int = 4
 
     def __post_init__(self):
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+        if not (math.isfinite(self.link_bandwidth) and self.link_bandwidth > 0):
+            raise ValueError(
+                f"link_bandwidth must be positive and finite, got {self.link_bandwidth}"
+            )
+        if not (math.isfinite(self.hop_latency) and self.hop_latency >= 0):
+            raise ValueError(f"hop_latency must be non-negative and finite, got {self.hop_latency}")
         if self.flit_size <= 0 or self.segment_size <= 0:
             raise ValueError("flit and segment sizes must be positive")
         if self.segment_size % self.flit_size:

@@ -22,8 +22,11 @@ Two engine *kinds* exist:
   a simulator over ``(num_links, capacity)`` exposing the
   :class:`repro.sim.fluid.FluidSimulator` surface (``add_flows`` /
   ``run_until_idle`` / ``results`` ...).  Built-ins: ``fluid`` (the
-  scalar reference implementation) and ``fluid-vec`` (the vectorized
-  batch engine, the default — see ``docs/performance.md``).
+  scalar reference implementation), ``fluid-vec`` (the vectorized
+  batch engine, the default) and ``fluid-vec-inc`` (the incremental
+  engine for dynamic traffic); the two vectorized engines share the
+  filling kernel of :mod:`repro.sim.maxmin` — see
+  ``docs/performance.md``.
 * ``"replay"`` — the Dimemas-substitute trace replay; it drives whole
   patterns causally and has no per-phase simulator factory.
 """

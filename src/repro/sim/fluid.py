@@ -84,6 +84,8 @@ class FluidSimulator:
             cap = np.full(num_links, float(cap))
         if cap.shape != (num_links,):
             raise ValueError(f"capacity must be scalar or shape ({num_links},)")
+        if not np.isfinite(cap).all():
+            raise ValueError("capacities must be finite")
         if (cap <= 0).any():
             raise ValueError("capacities must be positive")
         self.capacity = cap
@@ -122,6 +124,8 @@ class FluidSimulator:
         for l in links:
             if not 0 <= l < self.num_links:
                 raise ValueError(f"link {l} out of range")
+        if not math.isfinite(size):
+            raise ValueError(f"flow size must be finite, got {size}")
         if size < 0:
             raise ValueError("flow size must be non-negative")
         if size == 0:

@@ -2,7 +2,8 @@
 
 :class:`IncFluidSimulator` computes the same max-min fair allocation as
 the scalar :class:`repro.sim.fluid.FluidSimulator` and the vectorized
-:class:`repro.sim.fluid_vec.VecFluidSimulator`, but treats each
+:class:`repro.sim.fluid_vec.VecFluidSimulator`, with the same filling
+kernel (:func:`repro.sim.maxmin.progressive_fill`), but treats each
 arrival/completion batch as a *local* perturbation: instead of
 re-running progressive filling over the whole active set, it identifies
 the **bottleneck dependency component** of the event — the links whose
@@ -25,9 +26,9 @@ fixpoint closure of the event's seed links:
 2. *Closure*: a flow joins the component iff it crosses a component
    link ``l`` at that link's level (``rate >= W(l) - eps``); a joining
    flow contributes all its links.  Iterate to a fixpoint.
-3. *Local fill*: run the parallel progressive-filling kernel over the
-   inside flows only, against residual capacities (the outside users of
-   component links are fixed background consumption).
+3. *Local fill*: run the filling kernel over the inside flows only,
+   against residual capacities (the outside users of component links
+   are fixed background consumption).
 4. *Verify*: recompute saturation and max-user levels on the component
    links (background included) and check the bottleneck certificate of
    every refilled flow.  Certificates of *outside* flows hold
@@ -53,27 +54,25 @@ only when its rate changes or it completes, and completions pop from a
 generation-stamped lazy heap — so an event that refills a 50-link
 component does O(component) work even with 10^5 concurrent flows.
 
-The public surface mirrors the other fluid engines (``add_flow`` /
-``add_flows`` / ``rates`` / ``advance_to`` /
-``advance_to_next_completion`` / ``run_until_idle`` / ``results`` /
-``telemetry``); it is registered as ``fluid-vec-inc``.  Telemetry adds
-``partial_refills`` / ``full_refills`` / ``cert_fallbacks``,
-cumulative ``links_touched`` / ``flows_touched`` (work actually done)
-against ``links_active`` / ``flows_active`` (what full refills would
-have done), and ``component_size_hwm`` — see ``docs/performance.md``
-for the algorithm, the exactness argument and the telemetry contract.
+The public surface is :class:`repro.sim.maxmin.BatchFluidEngine`'s,
+like the other vectorized engine's; it is registered as
+``fluid-vec-inc``.  Telemetry adds ``partial_refills`` /
+``full_refills`` / ``cert_fallbacks``, cumulative ``links_touched`` /
+``flows_touched`` (work actually done) against ``links_active`` /
+``flows_active`` (what full refills would have done), and
+``component_size_hwm`` — see ``docs/performance.md`` for the
+algorithm, the exactness argument and the telemetry contract.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
 
 import numpy as np
 
-from ..obs import active as _obs_active
 from ..obs.trace import TRACER
 from .fluid import FlowResult, _EPS
+from .maxmin import BatchFluidEngine
 
 __all__ = ["IncFluidSimulator"]
 
@@ -99,7 +98,7 @@ _CERT_REL = 1e-12
 _MAX_EXPANSIONS = 4
 
 
-class IncFluidSimulator:
+class IncFluidSimulator(BatchFluidEngine):
     """Incremental max-min fluid simulation over a fixed link set.
 
     Drop-in replacement for the other fluid engines (same constructor,
@@ -109,28 +108,15 @@ class IncFluidSimulator:
     completion heap.
     """
 
-    def __init__(self, num_links: int, capacity: float | np.ndarray):
-        if num_links <= 0:
-            raise ValueError("need at least one link")
-        cap = np.asarray(capacity, dtype=np.float64)
-        if cap.ndim == 0:
-            cap = np.full(num_links, float(cap))
-        if cap.shape != (num_links,):
-            raise ValueError(f"capacity must be scalar or shape ({num_links},)")
-        if (cap <= 0).any():
-            raise ValueError("capacities must be positive")
-        self.capacity = cap
-        self.num_links = num_links
-        self.now = 0.0
-        self._results: list[FlowResult] = []
-        self._obs_on = _obs_active()
+    _SLOTS = {
+        **BatchFluidEngine._SLOTS,
+        "_sync": np.float64,  # when _rem was last materialized
+        "_gen": np.int64,  # live heap-entry generation
+    }
 
+    def __init__(self, num_links: int, capacity: float | np.ndarray):
+        super().__init__(num_links, capacity)
         # telemetry (see telemetry())
-        self.recomputes = 0
-        self.fill_rounds = 0
-        self.frozen_links = 0
-        self.compactions = 0
-        self.active_flows_hwm = 0
         self.partial_refills = 0
         self.full_refills = 0
         self.cert_fallbacks = 0
@@ -141,26 +127,9 @@ class IncFluidSimulator:
         self.component_size_hwm = 0
         self.mutation_events = 0
 
-        # struct-of-arrays flow slots (append-only, amortized doubling)
-        n0 = 64
-        self._cap_slots = n0
-        self._n = 0
-        self._n_active = 0
         self._nnz_active = 0
-        self._fid = np.empty(n0, dtype=np.int64)
-        self._size = np.empty(n0, dtype=np.float64)
-        self._rem = np.empty(n0, dtype=np.float64)  # bytes at _sync
-        self._rate = np.empty(n0, dtype=np.float64)
-        self._sync = np.empty(n0, dtype=np.float64)  # last materialization
-        self._start = np.empty(n0, dtype=np.float64)
-        self._gen = np.zeros(n0, dtype=np.int64)
-        self._act = np.zeros(n0, dtype=bool)
-        self._id_to_slot: dict[int, int] = {}
-        # per-slot link rows, padded with the virtual link num_links
-        self._lm = np.full((n0, 1), num_links, dtype=np.int64)
         # per-slot python link tuples (fast closure scans)
         self._links: list[tuple[int, ...]] = []
-
         # per-link state
         self._users: list[set[int]] = [set() for _ in range(num_links)]
         self._n_links_used = 0
@@ -174,104 +143,15 @@ class IncFluidSimulator:
         self._dirty_links: set[int] = set()
         self._dirty_slots: list[int] = []
 
-    # ------------------------------------------------------------------
-    # Flow management
-    # ------------------------------------------------------------------
-    def add_flow(self, flow_id: int, links: Sequence[int], size: float) -> None:
-        """Inject a single flow at the current time (scalar-compatible)."""
-        link_arr = np.asarray([int(l) for l in links], dtype=np.int64)
-        self.add_flows(
-            np.asarray([int(flow_id)], dtype=np.int64),
-            np.asarray([float(size)], dtype=np.float64),
-            np.zeros(len(link_arr), dtype=np.int64),
-            link_arr,
-        )
-
-    def add_flows(
-        self,
-        flow_ids: np.ndarray | Sequence[int],
-        sizes: np.ndarray | Sequence[float],
-        coo_flow: np.ndarray,
-        coo_link: np.ndarray,
-    ) -> None:
-        """Inject a batch of flows at the current time.
-
-        Same contract as :meth:`VecFluidSimulator.add_flows
-        <repro.sim.fluid_vec.VecFluidSimulator.add_flows>`.  The batch
-        joins the current epoch: however many batches and completion
-        groups land at one instant, the next rates query pays a single
-        (component-local when possible) refill.
-        """
-        flow_ids = np.asarray(flow_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        coo_flow = np.asarray(coo_flow, dtype=np.int64)
-        coo_link = np.asarray(coo_link, dtype=np.int64)
-        if flow_ids.ndim != 1 or sizes.shape != flow_ids.shape:
-            raise ValueError("flow_ids and sizes must be parallel 1-d arrays")
-        if coo_flow.shape != coo_link.shape:
-            raise ValueError("coo_flow and coo_link must be parallel 1-d arrays")
-        if len(flow_ids) == 0:
-            return
-        if (sizes < 0).any():
-            raise ValueError("flow size must be non-negative")
-        if len(np.unique(flow_ids)) != len(flow_ids):
-            raise ValueError("duplicate flow ids within the batch")
-        for fid in flow_ids.tolist():
-            if fid in self._id_to_slot:
-                raise ValueError(f"flow id {fid} already active")
-        if len(coo_link) and (coo_link.min() < 0 or coo_link.max() >= self.num_links):
-            bad = coo_link[(coo_link < 0) | (coo_link >= self.num_links)][0]
-            raise ValueError(f"link {int(bad)} out of range")
-        if len(coo_flow) and (coo_flow.min() < 0 or coo_flow.max() >= len(flow_ids)):
-            raise ValueError("coo_flow indexes outside the batch")
-        links_per_flow = np.bincount(coo_flow, minlength=len(flow_ids))
-        if (links_per_flow == 0).any():
-            raise ValueError("a flow must traverse at least one link")
-        # collapse repeated (flow, link) entries like the other engines
-        key = coo_flow * np.int64(self.num_links) + coo_link
-        uniq = np.unique(key)
-        coo_flow = uniq // self.num_links
-        coo_link = uniq % self.num_links
-
-        instant = sizes == 0.0
-        for fid in flow_ids[instant].tolist():
-            self._results.append(FlowResult(int(fid), self.now, self.now, 0.0))
-        if instant.all():
-            return
-        keep = ~instant
-        kept_ids = flow_ids[keep].tolist()
-        kept_sizes = sizes[keep]
-        # remap entries onto the kept subset (uniq left them flow-sorted)
-        new_index = np.cumsum(keep) - 1
-        entry_keep = keep[coo_flow]
-        e_f = new_index[coo_flow[entry_keep]]
-        e_l = coo_link[entry_keep]
-        n_new = len(kept_ids)
-
+    def _added(self, slots, e_f, e_l, counts) -> None:
+        """The batch joins the current epoch: however many batches and
+        completion groups land at one instant, the next rates query pays
+        a single (component-local when possible) refill."""
         self.mutation_events += 1
-        base = self._n
-        self._grow(n_new, int(links_per_flow.max()))
-        sl = np.arange(base, base + n_new, dtype=np.int64)
-        self._fid[sl] = np.asarray(kept_ids, dtype=np.int64)
-        self._size[sl] = kept_sizes
-        self._rem[sl] = kept_sizes
-        self._rate[sl] = 0.0
-        self._sync[sl] = self.now
-        self._start[sl] = self.now
-        self._act[sl] = True
-        self._n = base + n_new
-        self._n_active += n_new
-        # scatter link rows (entries are flow-sorted after np.unique)
-        counts = np.bincount(e_f, minlength=n_new)
-        starts = np.cumsum(counts) - counts
-        cols = np.arange(len(e_f), dtype=np.int64) - np.repeat(starts, counts)
-        self._lm[sl[e_f], cols] = e_l
-        bounds = np.cumsum(counts)[:-1]
+        self._sync[slots] = self.now
         users = self._users
         dirty = self._dirty_links
-        for i, (fid, row) in enumerate(zip(kept_ids, np.split(e_l, bounds))):
-            s = base + i
-            self._id_to_slot[fid] = s
+        for s, row in zip(slots.tolist(), np.split(e_l, np.cumsum(counts)[:-1])):
             tup = tuple(row.tolist())
             self._links.append(tup)
             self._nnz_active += len(tup)
@@ -284,44 +164,6 @@ class IncFluidSimulator:
             self._dirty_slots.append(s)
         if self._n_active > self.active_flows_hwm:
             self.active_flows_hwm = self._n_active
-
-    def _grow(self, n_new: int, batch_width: int) -> None:
-        """Make room for ``n_new`` slots and ``batch_width`` link columns."""
-        need = self._n + n_new
-        cap = self._cap_slots
-        if need > cap:
-            while cap < need:
-                cap *= 2
-            for name in ("_fid", "_size", "_rem", "_rate", "_sync", "_start"):
-                old = getattr(self, name)
-                new = np.empty(cap, dtype=old.dtype)
-                new[: self._n] = old[: self._n]
-                setattr(self, name, new)
-            gen = np.zeros(cap, dtype=np.int64)
-            gen[: self._n] = self._gen[: self._n]
-            self._gen = gen
-            act = np.zeros(cap, dtype=bool)
-            act[: self._n] = self._act[: self._n]
-            self._act = act
-            lm = np.full((cap, self._lm.shape[1]), self.num_links, dtype=np.int64)
-            lm[: self._n] = self._lm[: self._n]
-            self._lm = lm
-            self._cap_slots = cap
-        if batch_width > self._lm.shape[1]:
-            lm = np.full(
-                (self._cap_slots, batch_width), self.num_links, dtype=np.int64
-            )
-            lm[:, : self._lm.shape[1]] = self._lm
-            self._lm = lm
-
-    @property
-    def active_flows(self) -> int:
-        return self._n_active
-
-    @property
-    def results(self) -> list[FlowResult]:
-        """Completed flows, in completion order."""
-        return self._results
 
     # ------------------------------------------------------------------
     # Refill orchestration
@@ -453,7 +295,7 @@ class IncFluidSimulator:
         cl.sort()
         # background: outside users of component links are fixed
         # consumption, subtracted from capacity before the local fill
-        inside = np.zeros(self._cap_slots, dtype=bool)
+        inside = np.zeros(self._n, dtype=bool)
         ins = np.fromiter(ins_set, np.int64, len(ins_set)) if ins_set else (
             np.empty(0, dtype=np.int64)
         )
@@ -486,10 +328,10 @@ class IncFluidSimulator:
             has_bg = bg_max > 0.0
             self._W[cl] = np.where(sat & has_bg, bg_max, np.inf)
             return True
-        # the fill consumes its capacity vector in place — keep cap_vec
-        # pristine for the saturation audit below
-        rates_new, e_f, e_l = self._fill_subset(ins, cap_vec.copy())
-        entry_rate = rates_new[e_f]
+        lm = self._lm[ins]
+        fill = self._fill(lm, cap_vec)
+        rates_new, e_l = fill.rates, fill.e_l
+        entry_rate = rates_new[fill.e_f]
         cons = np.bincount(e_l, weights=entry_rate, minlength=nl)
         maxu = np.zeros(nl, dtype=np.float64)
         np.maximum.at(maxu, e_l, entry_rate)
@@ -502,7 +344,6 @@ class IncFluidSimulator:
         sat_ext[cl] = sat_cl
         mx_ext = np.zeros(nl + 1, dtype=np.float64)
         mx_ext[cl] = maxu_cl
-        lm = self._lm[ins]
         ok = (
             sat_ext[lm] & (rates_new[:, None] >= mx_ext[lm] * (1.0 - _CERT_REL) - _EPS)
         ).any(axis=1)
@@ -527,8 +368,9 @@ class IncFluidSimulator:
 
     def _full_refill(self) -> None:
         slots = np.nonzero(self._act[: self._n])[0]
-        rates_new, e_f, e_l = self._fill_subset(slots, self.capacity.copy())
-        entry_rate = rates_new[e_f]
+        fill = self._fill(self._lm[slots], self.capacity)
+        rates_new, e_l = fill.rates, fill.e_l
+        entry_rate = rates_new[fill.e_f]
         nl = self.num_links
         cons = np.bincount(e_l, weights=entry_rate, minlength=nl)
         maxu = np.zeros(nl, dtype=np.float64)
@@ -537,89 +379,6 @@ class IncFluidSimulator:
         sat = (self.capacity - cons <= _SAT_REL * self.capacity) & (counts > 0)
         self._W = np.where(sat, maxu, np.inf)
         self._commit(slots, rates_new)
-
-    def _fill_subset(
-        self, slots: np.ndarray, remaining_cap: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parallel progressive filling of ``slots`` against ``remaining_cap``.
-
-        Same kernel as :meth:`VecFluidSimulator._fill_rates` (every
-        locally minimal link freezes per round — exact by share
-        monotonicity), restricted to a slot subset and an arbitrary
-        (residual) capacity vector.  Returns ``(rates, e_f, e_l)`` with
-        ``e_f`` indexing into ``slots``.
-        """
-        n_act = len(slots)
-        num_links = self.num_links
-        inf = np.inf
-        lm = self._lm[slots]
-        width = lm.shape[1]
-        flat = lm.ravel()
-        real = flat < num_links
-        e_l = flat[real]
-        e_f = np.repeat(np.arange(n_act, dtype=np.int64), width)[real]
-        lm0, e_f0, e_l0 = lm, e_f, e_l
-
-        counts = np.bincount(e_l, minlength=num_links).astype(np.float64)
-        shares_ext = np.full(num_links + 1, inf, dtype=np.float64)
-        shares = shares_ext[:num_links]
-        np.divide(remaining_cap, counts, out=shares, where=counts > 0.0)
-
-        rate_c = np.zeros(n_act, dtype=np.float64)
-        mbuf = np.empty(n_act, dtype=np.float64)
-        unfrozen_full = np.ones(n_act, dtype=bool)
-        orig = np.arange(n_act, dtype=np.int64)
-        unfrozen = np.ones(n_act, dtype=bool)
-        blocked = np.empty(num_links + 1, dtype=bool)
-        n_unfrozen = n_act
-        last_compact = n_act
-        rounds = frozen_links = compactions = 0
-        obs_on = self._obs_on
-        while n_unfrozen:
-            m = shares_ext[lm].min(axis=1)
-            m[~unfrozen] = inf
-            mbuf[orig] = m
-            blocker = mbuf[e_f] < shares[e_l] - _EPS
-            blocked[:] = False
-            blocked[num_links] = True
-            blocked[e_l[blocker]] = True
-            hit = ~blocked[lm].all(axis=1)
-            hit &= unfrozen
-            if not hit.any():  # pragma: no cover - defensive
-                break
-            rounds += 1
-            if obs_on:
-                frozen_links += int((~blocked[:num_links] & (counts > 0.0)).sum())
-            np.maximum(m, 0.0, out=m)
-            frozen_now = orig[hit]
-            rate_c[frozen_now] = m[hit]
-            unfrozen_full[frozen_now] = False
-            unfrozen &= ~hit
-            n_unfrozen -= int(hit.sum())
-            flat = lm[hit].ravel()
-            weights = np.repeat(m[hit], lm.shape[1])
-            real = flat < num_links
-            flat = flat[real]
-            counts -= np.bincount(flat, minlength=num_links)
-            remaining_cap -= np.bincount(
-                flat, weights=weights[real], minlength=num_links
-            )
-            np.maximum(remaining_cap, 0.0, out=remaining_cap)
-            shares[:] = inf
-            np.divide(remaining_cap, counts, out=shares, where=counts > 0.0)
-            if n_unfrozen and n_unfrozen <= last_compact // 2:
-                keep = unfrozen_full[e_f]
-                e_f, e_l = e_f[keep], e_l[keep]
-                lm = lm[unfrozen]
-                orig = orig[unfrozen]
-                unfrozen = np.ones(n_unfrozen, dtype=bool)
-                last_compact = n_unfrozen
-                compactions += 1
-        if obs_on:
-            self.fill_rounds += rounds
-            self.frozen_links += frozen_links
-            self.compactions += compactions
-        return rate_c, e_f0, e_l0
 
     def _commit(self, slots: np.ndarray, rates_new: np.ndarray) -> None:
         """Write new rates: materialize lazy drains, restamp the heap.
@@ -655,16 +414,8 @@ class IncFluidSimulator:
             heapq.heappush(heap, (finish, s, int(gen[s]), slack))
 
     # ------------------------------------------------------------------
-    # Rates and telemetry
+    # Telemetry
     # ------------------------------------------------------------------
-    def rates(self) -> dict[int, float]:
-        """Current max-min rates of the active flows (bytes/second)."""
-        self._ensure_rates()
-        slots = np.nonzero(self._act[: self._n])[0]
-        ids = self._fid[slots].tolist()
-        vals = self._rate[slots].tolist()
-        return dict(zip(ids, vals))
-
     def telemetry(self) -> dict:
         """Per-engine fill telemetry (all counters monotone).
 
@@ -681,11 +432,7 @@ class IncFluidSimulator:
         ``mutation_events - recomputes`` is the epoch-batching win.
         """
         return {
-            "recomputes": self.recomputes,
-            "fill_rounds": self.fill_rounds,
-            "frozen_links": self.frozen_links,
-            "compactions": self.compactions,
-            "active_flows_hwm": self.active_flows_hwm,
+            **super().telemetry(),
             "partial_refills": self.partial_refills,
             "full_refills": self.full_refills,
             "cert_fallbacks": self.cert_fallbacks,
@@ -715,39 +462,14 @@ class IncFluidSimulator:
             heapq.heappop(heap)
         raise RuntimeError("active flows but no positive rates; check capacities")
 
-    def advance_to(self, t: float) -> list[FlowResult]:
-        """Advance the clock to ``t`` (< next completion), draining bytes."""
-        if t < self.now - _EPS:
-            raise ValueError(f"cannot rewind time: {t} < {self.now}")
-        if t <= self.now:
-            return []
-        nc = self.next_completion_time()
-        if nc is not None and t > nc + _EPS:
-            raise ValueError(
-                f"advance_to({t}) would skip a completion at {nc}; "
-                "call advance_to_next_completion first"
-            )
-        self.now = t
-        # a t landing in (nc, nc + _EPS] is accepted above, but any flow
-        # draining dry in this step completed at nc, not t (see the
-        # other engines)
-        return self._pop_due(t, at=nc if nc is not None and t > nc else t)
-
-    def advance_to_next_completion(self) -> list[FlowResult]:
-        """Jump to the earliest completion; returns the finished flows."""
-        nc = self.next_completion_time()
-        if nc is None:
-            return []
-        self.now = nc
-        return self._pop_due(nc, at=nc)
-
-    def _pop_due(self, t: float, at: float) -> list[FlowResult]:
+    def _drain_to(self, t: float, at: float) -> list[FlowResult]:
         """Pop and complete every heap entry whose trigger time is <= t.
 
         A flow completes at time ``t`` when its remaining volume is
         within the completion tolerance (``_EPS * size + _EPS`` bytes,
         like the other engines), i.e. when ``finish - slack <= t``.
         """
+        self.now = t
         heap = self._heap
         gen = self._gen
         act = self._act
@@ -764,19 +486,12 @@ class IncFluidSimulator:
         if not due:
             return []
         self.mutation_events += 1
-        due.sort(key=lambda s: int(self._fid[s]))  # scalar-engine order
+        slots, results = self._retire(np.asarray(due, dtype=np.int64), at)
+        gen[slots] += 1
+        self._rem[slots] = 0.0
         users = self._users
         dirty = self._dirty_links
-        results = []
-        for s in due:
-            fid = int(self._fid[s])
-            res = FlowResult(fid, float(self._start[s]), at, float(self._size[s]))
-            results.append(res)
-            self._results.append(res)
-            del self._id_to_slot[fid]
-            self._act[s] = False
-            self._gen[s] += 1
-            self._rem[s] = 0.0
+        for s in slots.tolist():
             tup = self._links[s]
             self._nnz_active -= len(tup)
             for l in tup:
@@ -785,23 +500,4 @@ class IncFluidSimulator:
                 if not u:
                     self._n_links_used -= 1
                 dirty.add(l)
-        self._n_active -= len(due)
         return results
-
-    def run_until_idle(self, max_steps: int | None = None) -> float:
-        """Drain all active flows; returns the final time."""
-        steps = 0
-        while self._n_active:
-            if max_steps is not None and steps >= max_steps:
-                raise RuntimeError("fluid simulation exceeded its step budget")
-            finished = self.advance_to_next_completion()
-            if not finished:  # pragma: no cover - defensive
-                raise RuntimeError("no progress in fluid simulation")
-            steps += 1
-        return self.now
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"IncFluidSimulator({self.num_links} links, "
-            f"{self._n_active} active, t={self.now:g})"
-        )

@@ -1,492 +1,115 @@
-"""Vectorized batch max-min fluid engine (struct-of-arrays incidence).
+"""Vectorized batch max-min fluid engine (full refill per epoch).
 
 :class:`VecFluidSimulator` computes the same max-min fair allocation as
 the scalar :class:`repro.sim.fluid.FluidSimulator` — the allocation is
 unique, so the two engines are interchangeable up to floating-point
 noise (``tests/sim/test_fluid_vec.py`` proves this property-based) —
-but stores the active-flow set as parallel numpy arrays and the
-flow↔link incidence twice: as a flat COO entry list and as a dense
-``(flows, W)`` *link matrix* (W = the longest path, ``2h + 2`` links on
-an XGFT — tree hops plus the two adapter links — so the pad waste is
-tiny and every per-flow reduction is a SIMD row operation instead of a
-ragged segment reduction).
+by running the parallel progressive-filling kernel
+(:func:`repro.sim.maxmin.progressive_fill`) over every active flow once
+per epoch: all arrivals and completions at one instant share one
+refill.  It keeps the active flows' incidence as flat COO entries next
+to the link matrix, so the kernel never re-derives them.
 
-Progressive filling is run in *parallel rounds*: instead of freezing
-one bottleneck level per round (which degenerates to one link at a time
-at cluster scale), every round freezes every **locally minimal** link —
-a link freezes at its current fair share iff no unfrozen user of it has
-a strictly smaller share on another link.  This is exact because shares
-never decrease during progressive filling: removing users at or below a
-link's fair share cannot lower it, so a locally minimal link's user set
-is stable until it saturates, and sequential filling would freeze the
-same flows at the same level.  Rounds therefore track the *dependency
-depth* of the bottleneck structure (tens) rather than the number of
-distinct water levels (thousands), and each round is a handful of
-gathers, scatters and row reductions.  Frozen rows are compacted away
-once they are half the working set, so per-round cost follows the
-shrinking unfrozen set and total compaction cost stays O(nnz).
-
-Batch completions work the same way: all flows reaching zero remaining
-bytes complete together and their incidence entries are mask-filtered
-out, so ``run_until_idle`` advances in O(completion events) vectorized
-steps.  At 10⁴+ concurrent flows this is the difference between seconds
-and minutes — see ``benchmarks/bench_fluid_scale.py`` and the committed
+Bytes drain eagerly: every clock step subtracts ``rate * dt`` from each
+active flow, and all flows reaching zero remaining bytes complete
+together, their incidence entries mask-filtered out, so
+``run_until_idle`` advances in O(completion events) vectorized steps.
+At 10⁴+ concurrent flows this is the difference between seconds and
+minutes — see ``benchmarks/bench_fluid_scale.py`` and the committed
 ``BENCH_fluid.json``.
 
-The public surface mirrors the scalar engine (``add_flow`` / ``rates``
-/ ``advance_to`` / ``advance_to_next_completion`` / ``run_until_idle``
-/ ``results``) and adds :meth:`add_flows`, a batch injection path that
-accepts a ready-made COO incidence so the phase driver
+The public surface (:class:`repro.sim.maxmin.BatchFluidEngine`) mirrors
+the scalar engine and adds :meth:`add_flows`, a batch injection path
+that accepts a ready-made COO incidence so the phase driver
 (:func:`repro.sim.network.simulate_phase_fluid`) never materializes
 per-flow Python link lists.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..obs import active as _obs_active
 from ..obs.trace import TRACER
 from .fluid import FlowResult, _EPS
+from .maxmin import BatchFluidEngine
 
 __all__ = ["VecFluidSimulator"]
 
 
-class VecFluidSimulator:
+class VecFluidSimulator(BatchFluidEngine):
     """Batch max-min fluid simulation over a fixed link set.
 
     Drop-in replacement for :class:`repro.sim.fluid.FluidSimulator`
     (same constructor, same public methods, same semantics — including
     zero-size flows completing immediately at their start time), backed
-    by struct-of-arrays flow state and vectorized parallel
-    progressive filling.
+    by struct-of-arrays flow state and one full vectorized refill per
+    epoch.
     """
 
     def __init__(self, num_links: int, capacity: float | np.ndarray):
-        if num_links <= 0:
-            raise ValueError("need at least one link")
-        cap = np.asarray(capacity, dtype=np.float64)
-        if cap.ndim == 0:
-            cap = np.full(num_links, float(cap))
-        if cap.shape != (num_links,):
-            raise ValueError(f"capacity must be scalar or shape ({num_links},)")
-        if (cap <= 0).any():
-            raise ValueError("capacities must be positive")
-        self.capacity = cap
-        self.num_links = num_links
-        self.now = 0.0
-        #: number of max-min recomputations (diagnostics / benchmarks)
-        self.recomputes = 0
-        # telemetry (see telemetry()); _obs_on is captured at
-        # construction so the overhead gate can A/B with obs.deactivated()
-        self._obs_on = _obs_active()
-        self.fill_rounds = 0
-        self.frozen_links = 0
-        self.compactions = 0
-        self.active_flows_hwm = 0
-        self._results: list[FlowResult] = []
+        super().__init__(num_links, capacity)
         self._rates_valid = False
-
-        # struct-of-arrays flow state; slots are append-only, the active
-        # set is a boolean mask (completed slots are never reused)
-        self._flow_id = np.empty(0, dtype=np.int64)
-        self._remaining = np.empty(0, dtype=np.float64)
-        self._size = np.empty(0, dtype=np.float64)
-        self._start = np.empty(0, dtype=np.float64)
-        self._rate = np.empty(0, dtype=np.float64)
-        self._active = np.empty(0, dtype=bool)
-        self._id_to_slot: dict[int, int] = {}
-
-        # incidence of *active* flows: flat COO entries (any order;
-        # completions mask rows out) plus the dense per-slot link
-        # matrix, rows padded with the virtual link ``num_links``
+        # COO incidence of the *active* flows, by slot (any order;
+        # completions mask entries out)
         self._e_flow = np.empty(0, dtype=np.int64)
         self._e_link = np.empty(0, dtype=np.int64)
-        self._link_matrix = np.empty((0, 0), dtype=np.int64)
 
-        # pending (not yet solidified) additions
-        self._pend_ids: list[int] = []
-        self._pend_id_set: set[int] = set()
-        self._pend_sizes: list[float] = []
-        self._pend_starts: list[float] = []
-        self._pend_e_flow: list[np.ndarray] = []
-        self._pend_e_link: list[np.ndarray] = []
-
-    # ------------------------------------------------------------------
-    # Flow management
-    # ------------------------------------------------------------------
-    def add_flow(self, flow_id: int, links: Sequence[int], size: float) -> None:
-        """Inject a single flow at the current time (scalar-compatible)."""
-        link_arr = np.asarray([int(l) for l in links], dtype=np.int64)
-        self.add_flows(
-            np.asarray([int(flow_id)], dtype=np.int64),
-            np.asarray([float(size)], dtype=np.float64),
-            np.zeros(len(link_arr), dtype=np.int64),
-            link_arr,
-        )
-
-    def add_flows(
-        self,
-        flow_ids: np.ndarray | Sequence[int],
-        sizes: np.ndarray | Sequence[float],
-        coo_flow: np.ndarray,
-        coo_link: np.ndarray,
-    ) -> None:
-        """Inject a batch of flows at the current time.
-
-        ``coo_flow[k]`` indexes into ``flow_ids`` (0-based within this
-        batch) and ``coo_link[k]`` is the directed link that flow
-        traverses; entries may arrive in any order.  Zero-size flows
-        complete immediately at the current time; negative sizes raise.
-        """
-        flow_ids = np.asarray(flow_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        coo_flow = np.asarray(coo_flow, dtype=np.int64)
-        coo_link = np.asarray(coo_link, dtype=np.int64)
-        if flow_ids.ndim != 1 or sizes.shape != flow_ids.shape:
-            raise ValueError("flow_ids and sizes must be parallel 1-d arrays")
-        if coo_flow.shape != coo_link.shape:
-            raise ValueError("coo_flow and coo_link must be parallel 1-d arrays")
-        if len(flow_ids) == 0:
-            return
-        if (sizes < 0).any():
-            raise ValueError("flow size must be non-negative")
-        if len(np.unique(flow_ids)) != len(flow_ids):
-            raise ValueError("duplicate flow ids within the batch")
-        for fid in flow_ids.tolist():
-            if fid in self._id_to_slot or fid in self._pend_id_set:
-                raise ValueError(f"flow id {fid} already active")
-        if len(coo_link) and (
-            coo_link.min() < 0 or coo_link.max() >= self.num_links
-        ):
-            bad = coo_link[(coo_link < 0) | (coo_link >= self.num_links)][0]
-            raise ValueError(f"link {int(bad)} out of range")
-        if len(coo_flow) and (coo_flow.min() < 0 or coo_flow.max() >= len(flow_ids)):
-            raise ValueError("coo_flow indexes outside the batch")
-        links_per_flow = np.bincount(coo_flow, minlength=len(flow_ids))
-        # zero-*size* flows complete instantly, but every flow still
-        # needs a route; zero-*link* flows are a caller bug either way
-        if (links_per_flow == 0).any():
-            raise ValueError("a flow must traverse at least one link")
-        # a repeated (flow, link) entry would double-count the flow
-        # against that link's capacity (and diverge from the scalar
-        # engine, which collapses repeats); routes never produce one,
-        # so dedup here — np.unique also leaves the entries flow-sorted
-        key = coo_flow * np.int64(self.num_links) + coo_link
-        uniq = np.unique(key)
-        if len(uniq) != len(key):
-            coo_flow = uniq // self.num_links
-            coo_link = uniq % self.num_links
-
-        instant = sizes == 0.0
-        for fid in flow_ids[instant].tolist():
-            self._results.append(FlowResult(int(fid), self.now, self.now, 0.0))
-        if instant.all():
-            return
-        keep = ~instant
-        kept_ids = flow_ids[keep]
-        # remap coo_flow onto the kept subset of the batch, offset past
-        # any still-pending earlier batches (slots are assigned at
-        # solidify time, in pending order)
-        new_index = np.cumsum(keep) - 1  # batch idx -> kept idx
-        entry_keep = keep[coo_flow]
-        offset = len(self._pend_ids)
-        self._pend_ids.extend(kept_ids.tolist())
-        self._pend_id_set.update(kept_ids.tolist())
-        self._pend_sizes.extend(sizes[keep].tolist())
-        self._pend_starts.extend([self.now] * int(keep.sum()))
-        self._pend_e_flow.append(new_index[coo_flow[entry_keep]] + offset)
-        self._pend_e_link.append(coo_link[entry_keep])
+    def _added(self, slots, e_f, e_l, counts) -> None:
+        self._e_flow = np.concatenate((self._e_flow, slots[e_f]))
+        self._e_link = np.concatenate((self._e_link, e_l))
         self._rates_valid = False
-        if self._obs_on:
-            n_now = int(self._active.sum()) + len(self._pend_ids)
-            if n_now > self.active_flows_hwm:
-                self.active_flows_hwm = n_now
+        if self._obs_on and self._n_active > self.active_flows_hwm:
+            self.active_flows_hwm = self._n_active
 
-    def _solidify(self) -> None:
-        """Fold pending additions into the struct-of-arrays state."""
-        if not self._pend_ids:
+    # ------------------------------------------------------------------
+    # Max-min rate computation
+    # ------------------------------------------------------------------
+    def _ensure_rates(self) -> None:
+        if self._rates_valid:
             return
-        base = len(self._flow_id)
-        n_new = len(self._pend_ids)
-        new_ids = np.asarray(self._pend_ids, dtype=np.int64)
-        self._flow_id = np.concatenate((self._flow_id, new_ids))
-        new_sizes = np.asarray(self._pend_sizes, dtype=np.float64)
-        self._size = np.concatenate((self._size, new_sizes))
-        self._remaining = np.concatenate((self._remaining, new_sizes.copy()))
-        self._start = np.concatenate(
-            (self._start, np.asarray(self._pend_starts, dtype=np.float64))
-        )
-        self._rate = np.concatenate((self._rate, np.zeros(n_new, dtype=np.float64)))
-        self._active = np.concatenate((self._active, np.ones(n_new, dtype=bool)))
-        for i, fid in enumerate(self._pend_ids):
-            self._id_to_slot[fid] = base + i
-        new_e_flow = np.concatenate(self._pend_e_flow)  # batch-local ids
-        new_e_link = np.concatenate(self._pend_e_link)
-        self._e_flow = np.concatenate((self._e_flow, new_e_flow + base))
-        self._e_link = np.concatenate((self._e_link, new_e_link))
-        self._link_matrix = self._append_link_rows(new_e_flow, new_e_link, n_new)
-        self._pend_ids, self._pend_sizes, self._pend_starts = [], [], []
-        self._pend_id_set = set()
-        self._pend_e_flow, self._pend_e_link = [], []
-
-    def _append_link_rows(
-        self, e_flow: np.ndarray, e_link: np.ndarray, n_new: int
-    ) -> np.ndarray:
-        """Extend the dense link matrix with one row per new flow."""
-        pad = self.num_links
-        order = np.argsort(e_flow, kind="stable")
-        counts = np.bincount(e_flow, minlength=n_new)
-        width = max(int(counts.max()), self._link_matrix.shape[1])
-        starts = np.cumsum(counts) - counts
-        # column of each (flow-sorted) entry within its flow's row
-        cols = np.arange(len(e_flow), dtype=np.int64) - np.repeat(starts, counts)
-        rows = np.full((n_new, width), pad, dtype=np.int64)
-        rows[e_flow[order], cols] = e_link[order]
-        old = self._link_matrix
-        if old.shape[1] < width:
-            widened = np.full((old.shape[0], width), pad, dtype=np.int64)
-            widened[:, : old.shape[1]] = old
-            old = widened
-        return np.concatenate((old, rows)) if len(old) else rows
-
-    @property
-    def active_flows(self) -> int:
-        return int(self._active.sum()) + len(self._pend_ids)
-
-    @property
-    def results(self) -> list[FlowResult]:
-        """Completed flows, in completion order."""
-        return self._results
-
-    # ------------------------------------------------------------------
-    # Max-min rate computation (parallel progressive filling)
-    # ------------------------------------------------------------------
-    def _recompute_rates(self) -> None:
         self.recomputes += 1
-        self._solidify()
         self._rates_valid = True
         if self._obs_on and TRACER.enabled:
-            with TRACER.span("fluid.fill", flows=int(self._active.sum())):
+            with TRACER.span("fluid.fill", flows=self._n_active):
                 self._fill_rates()
         else:
             self._fill_rates()
 
     def _fill_rates(self) -> None:
-        act = self._active
-        slots = np.nonzero(act)[0]
-        n_act = len(slots)
-        if n_act == 0:
+        slots = np.nonzero(self._act[: self._n])[0]
+        if len(slots) == 0:
             return
-        num_links = self.num_links
-        inf = np.inf
-
-        # compact flow-id space 0..n_act-1 over the active slots
-        inv = np.empty(len(act), dtype=np.int64)
-        inv[slots] = np.arange(n_act, dtype=np.int64)
-        e_f = inv[self._e_flow]
-        e_l = self._e_link
-        lm = self._link_matrix[slots]  # (n_act, W), pad = num_links
-        width = lm.shape[1]
-
-        counts = np.bincount(e_l, minlength=num_links).astype(np.float64)
-        remaining_cap = self.capacity.copy()
-        # shares_ext[num_links] is the pad link: share inf, never frozen
-        shares_ext = np.full(num_links + 1, inf, dtype=np.float64)
-        shares = shares_ext[:num_links]
-        np.divide(remaining_cap, counts, out=shares, where=counts > 0.0)
-
-        rate_c = np.zeros(n_act, dtype=np.float64)  # final rates, by original compact id
-        mbuf = np.empty(n_act, dtype=np.float64)  # per-flow bottleneck, by original id
-        unfrozen_full = np.ones(n_act, dtype=bool)  # by original id
-        orig = np.arange(n_act, dtype=np.int64)  # current row -> original id
-        unfrozen = np.ones(n_act, dtype=bool)  # by current row
-        blocked = np.empty(num_links + 1, dtype=bool)
-        n_unfrozen = n_act
-        last_compact = n_act
-        rounds = frozen_links = compactions = 0
-        obs_on = self._obs_on
-        while n_unfrozen:
-            # per-flow bottleneck: the minimal share over the flow's links
-            m = shares_ext[lm].min(axis=1)
-            m[~unfrozen] = inf
-            mbuf[orig] = m
-            # a link freezes at its current share iff no unfrozen user
-            # has a strictly smaller bottleneck elsewhere — exact,
-            # because shares never decrease during progressive filling,
-            # so every other link of its users saturates at a level no
-            # lower than this one's.  Frozen flows carry an inf
-            # bottleneck and never block.
-            blocker = mbuf[e_f] < shares[e_l] - _EPS
-            blocked[:] = False
-            blocked[num_links] = True  # the pad link never freezes a flow
-            blocked[e_l[blocker]] = True
-            # a flow freezes (at its bottleneck share) once any real
-            # link of its path is unblocked
-            hit = ~blocked[lm].all(axis=1)
-            hit &= unfrozen
-            if not hit.any():  # pragma: no cover - defensive
-                break
-            rounds += 1
-            if obs_on:
-                frozen_links += int((~blocked[:num_links] & (counts > 0.0)).sum())
-            np.maximum(m, 0.0, out=m)
-            frozen_now = orig[hit]
-            rate_c[frozen_now] = m[hit]
-            unfrozen_full[frozen_now] = False
-            unfrozen &= ~hit
-            n_unfrozen -= int(hit.sum())
-            # release the frozen flows' bandwidth from every link they use
-            flat = lm[hit].ravel()
-            weights = np.repeat(m[hit], width)
-            real = flat < num_links
-            flat = flat[real]
-            counts -= np.bincount(flat, minlength=num_links)
-            remaining_cap -= np.bincount(
-                flat, weights=weights[real], minlength=num_links
-            )
-            np.maximum(remaining_cap, 0.0, out=remaining_cap)
-            shares[:] = inf
-            np.divide(remaining_cap, counts, out=shares, where=counts > 0.0)
-            # drop frozen rows and entries once they are half the
-            # working set: per-round cost then tracks the shrinking
-            # unfrozen set and total compaction cost stays O(nnz)
-            if n_unfrozen and n_unfrozen <= last_compact // 2:
-                keep = unfrozen_full[e_f]
-                e_f, e_l = e_f[keep], e_l[keep]
-                lm = lm[unfrozen]
-                orig = orig[unfrozen]
-                unfrozen = np.ones(n_unfrozen, dtype=bool)
-                last_compact = n_unfrozen
-                compactions += 1
-        self._rate[slots] = rate_c
-        if obs_on:
-            self.fill_rounds += rounds
-            self.frozen_links += frozen_links
-            self.compactions += compactions
-
-    def telemetry(self) -> dict:
-        """Per-engine fill telemetry (all counters monotone).
-
-        Same shape as :meth:`FluidSimulator.telemetry
-        <repro.sim.fluid.FluidSimulator.telemetry>`; here ``fill_rounds``
-        counts *parallel* rounds (the bottleneck dependency depth) and
-        ``compactions`` counts working-set compactions.
-        """
-        return {
-            "recomputes": self.recomputes,
-            "fill_rounds": self.fill_rounds,
-            "frozen_links": self.frozen_links,
-            "compactions": self.compactions,
-            "active_flows_hwm": self.active_flows_hwm,
-        }
-
-    def rates(self) -> dict[int, float]:
-        """Current max-min rates of the active flows (bytes/second)."""
-        if not self._rates_valid:
-            self._recompute_rates()
-        self._solidify()
-        slots = np.nonzero(self._active)[0]
-        ids = self._flow_id[slots].tolist()
-        vals = self._rate[slots].tolist()
-        return dict(zip(ids, vals))
+        # compact flow-id space 0..len(slots)-1 over the active slots
+        inv = np.empty(self._n, dtype=np.int64)
+        inv[slots] = np.arange(len(slots), dtype=np.int64)
+        fill = self._fill(self._lm[slots], self.capacity, (inv[self._e_flow], self._e_link))
+        self._rate[slots] = fill.rates
 
     # ------------------------------------------------------------------
     # Time advancement
     # ------------------------------------------------------------------
     def next_completion_time(self) -> float | None:
         """Absolute time of the earliest flow completion (None if idle)."""
-        if self.active_flows == 0:
+        if self._n_active == 0:
             return None
-        if not self._rates_valid:
-            self._recompute_rates()
-        self._solidify()
-        moving = self._active & (self._rate > _EPS)
+        self._ensure_rates()
+        rem, rate = self._rem[: self._n], self._rate[: self._n]
+        moving = self._act[: self._n] & (rate > _EPS)
         if not moving.any():  # pragma: no cover - all rates zero
             raise RuntimeError("active flows but no positive rates; check capacities")
-        return self.now + float((self._remaining[moving] / self._rate[moving]).min())
+        return self.now + float((rem[moving] / rate[moving]).min())
 
-    def advance_to(self, t: float) -> list[FlowResult]:
-        """Advance the clock to ``t`` (< next completion), draining bytes."""
-        if t < self.now - _EPS:
-            raise ValueError(f"cannot rewind time: {t} < {self.now}")
-        if t <= self.now:
-            # same-instant advance: a no-op, and deliberately *before*
-            # the next-completion query so a completion group and an
-            # arrival batch landing at one timestamp stay in the same
-            # refill epoch (one recompute serves both)
+    def _drain_to(self, t: float, at: float) -> list[FlowResult]:
+        n = self._n
+        act, rem = self._act[:n], self._rem[:n]
+        rem[act] -= self._rate[:n][act] * (t - self.now)
+        self.now = t
+        done = act & (rem <= _EPS * self._size[:n] + _EPS)
+        if not done.any():
             return []
-        nc = self.next_completion_time()
-        if nc is not None and t > nc + _EPS:
-            raise ValueError(
-                f"advance_to({t}) would skip a completion at {nc}; "
-                "call advance_to_next_completion first"
-            )
-        dt = t - self.now
-        finished: list[FlowResult] = []
-        if dt > 0:
-            act = self._active
-            self._remaining[act] -= self._rate[act] * dt
-            self.now = t
-            # a t landing in (nc, nc + _EPS] is accepted above, but any
-            # flow draining dry in this step completed at nc, not t —
-            # stamp the true instant, or dense arrival streams (which
-            # advance in sub-_EPS hops) systematically inflate FCTs
-            finished = self._collect_finished(
-                at=nc if nc is not None and t > nc else None
-            )
-        return finished
-
-    def _collect_finished(self, at: float | None = None) -> list[FlowResult]:
-        finish = self.now if at is None else at
-        act = self._active
-        done = act & (self._remaining <= _EPS * self._size + _EPS)
-        slots = np.nonzero(done)[0]
-        if len(slots) == 0:
-            return []
-        # completion order matches the scalar engine: ascending flow id
-        slots = slots[np.argsort(self._flow_id[slots], kind="stable")]
-        results = []
-        for s in slots.tolist():
-            fid = int(self._flow_id[s])
-            res = FlowResult(fid, float(self._start[s]), finish, float(self._size[s]))
-            results.append(res)
-            self._results.append(res)
-            del self._id_to_slot[fid]
-        self._active[slots] = False
+        _, results = self._retire(np.nonzero(done)[0], at)
         keep = ~done[self._e_flow]
         self._e_flow = self._e_flow[keep]
         self._e_link = self._e_link[keep]
         self._rates_valid = False
         return results
-
-    def advance_to_next_completion(self) -> list[FlowResult]:
-        """Jump to the earliest completion; returns the finished flows."""
-        t = self.next_completion_time()
-        if t is None:
-            return []
-        dt = t - self.now
-        act = self._active
-        self._remaining[act] -= self._rate[act] * dt
-        self.now = t
-        return self._collect_finished()
-
-    def run_until_idle(self, max_steps: int | None = None) -> float:
-        """Drain all active flows; returns the final time."""
-        steps = 0
-        while self.active_flows:
-            if max_steps is not None and steps >= max_steps:
-                raise RuntimeError("fluid simulation exceeded its step budget")
-            finished = self.advance_to_next_completion()
-            if not finished:  # pragma: no cover - defensive
-                raise RuntimeError("no progress in fluid simulation")
-            steps += 1
-        return self.now
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VecFluidSimulator({self.num_links} links, "
-            f"{self.active_flows} active, t={self.now:g})"
-        )

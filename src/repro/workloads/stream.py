@@ -41,6 +41,9 @@ class ArrivalStream:
                 raise ValueError(f"{name} must be a 1-d array")
             if arr.shape != times.shape:
                 raise ValueError("arrival arrays must be parallel (same length)")
+        for name, arr in (("arrival times", times), ("flow sizes", sizes)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
         if len(times):
             if (np.diff(times) < 0).any():
                 raise ValueError("arrival times must be non-decreasing")

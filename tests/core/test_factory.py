@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ALGORITHMS,
     DETERMINISTIC_ALGORITHMS,
     RANDOMIZED_ALGORITHMS,
     RouteTable,
@@ -57,9 +58,7 @@ class TestFactory:
             alg = make_algorithm("leftmost", topo)
             assert alg.route(0, 15).up_ports == (0, 0)
         finally:
-            from repro.core import factory
-
-            del factory._BUILDERS["leftmost"]
+            ALGORITHMS.unregister("leftmost")
 
     def test_register_duplicate_rejected(self):
         with pytest.raises(ValueError):

@@ -192,11 +192,3 @@ class TestRouteTableTypedAPI:
             table.src.nbytes + table.dst.nbytes + table.nca_level.nbytes + table.ports.nbytes
         )
         assert table.nbytes == expected
-
-    def test_dict_style_access_warns_but_works(self, small_tree):
-        table = make_algorithm("d-mod-k", small_tree).all_pairs_table()
-        with pytest.warns(DeprecationWarning, match="dict-style"):
-            ports = table["ports"]
-        assert ports is table.ports
-        with pytest.raises(KeyError):
-            table["nope"]

@@ -345,22 +345,9 @@ class TestThirdPartyRegistration:
 
 
 # ----------------------------------------------------------------------
-# Deprecated pre-registry entry points
+# The registry entry points that replaced the removed pre-registry ones
 # ----------------------------------------------------------------------
 class TestDeprecatedShims:
-    def test_parse_algorithm_spec_warns_and_delegates(self):
-        from repro.experiments.sweep import parse_algorithm_spec
-
-        with pytest.warns(DeprecationWarning, match="parse_spec"):
-            assert parse_algorithm_spec("r-nca-d(k=8)") == ("r-nca-d", {"k": 8})
-
-    def test_resolve_pattern_warns_and_delegates(self):
-        from repro.experiments.sweep import resolve_pattern as deprecated_resolve
-
-        with pytest.warns(DeprecationWarning, match="repro.patterns.registry"):
-            pattern = deprecated_resolve("shift-1", 16)
-        assert pattern.pairs() == resolve_pattern("shift-1", 16).pairs()
-
     def test_registry_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
