@@ -19,15 +19,12 @@
     repro serve --topology "XGFT(2;16,16;1,8)" --algorithm d-mod-k --store ./store
     repro serve --batch queries.jsonl --store ./store
     repro serve --listen 127.0.0.1:9000 --store ./store
-    repro serve --bench -o BENCH_serve.json --baseline benchmarks/baseline_serve.json
     repro compare baseline.json current.json --tolerance 0.1
     repro faults --topology "XGFT(3;4,4,4;1,4,2)" --rates 0 0.01 0.05
-    repro scale --preset smoke --check
-    repro scale --preset full -o BENCH_fluid.json
     repro dynamic --workload "poisson(load=0.8)"
     repro dynamic --loads 0.2 0.5 0.8 --algorithms d-mod-k s-mod-k random
     repro profile --workload "poisson(load=0.5)" -o profile
-    repro profile --overhead-check
+    repro profile --overhead-check --spec benchmarks/smoke_spec.json
     repro graphs --preset smoke --baseline benchmarks/baseline_graph.json
     repro graphs --preset full -o BENCH_graph.json
     repro store gc --max-bytes 256M --dry-run
@@ -52,10 +49,10 @@ slowdown and flow-loss curves.
 ``serve`` is the production query side (:mod:`repro.serve`): it opens a
 compact all-pairs table from the persistent artifact store
 (:mod:`repro.store`, building on a miss), then answers JSON-lines route
-queries in batch mode (``--batch``), over an asyncio TCP endpoint
-(``--listen``), or measures bytes/route and lookups/sec (``--bench``,
-the ``BENCH_serve.json`` document CI gates on).  ``sweep --store``
-persists every table a sweep builds into the same store.
+queries in batch mode (``--batch``) or over an asyncio TCP endpoint
+(``--listen``).  ``sweep --store`` persists every table a sweep builds
+into the same store.  The benchmark of the paper grid, the dynamic
+engines and the server is ``bench/run.py``, not a subcommand.
 """
 
 from __future__ import annotations
@@ -378,79 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_regression_args(pd)
     add_trace_arg(pd, "repro_dynamic")
 
-    psc = sub.add_parser(
-        "scale",
-        help="fluid-engine scaling benchmark: scalar vs vectorized wall "
-        "time over a (topology x flow-count) grid, with an equivalence check",
-    )
-    psc.add_argument(
-        "--preset",
-        choices=tuple(experiments.PRESETS),
-        default="smoke",
-        help="grid preset: 'smoke' (CI, seconds) or 'full' (the committed "
-        "BENCH_fluid.json trajectory)",
-    )
-    psc.add_argument(
-        "--topologies", nargs="+", default=None, metavar="XGFT", help="override the preset grid"
-    )
-    psc.add_argument(
-        "--flows", type=int, nargs="+", default=None, help="concurrent flow counts to sweep"
-    )
-    psc.add_argument(
-        "--sizes",
-        nargs="+",
-        default=None,
-        choices=("uniform", "mixed"),
-        help="message-size modes: uniform (phase-like batch completions) "
-        "and/or mixed (every completion distinct)",
-    )
-    psc.add_argument(
-        "--engines",
-        nargs="+",
-        default=None,
-        choices=fluid_engine_names(),
-        help="fluid backends to time (default: all registered)",
-    )
-    psc.add_argument(
-        "--scalar-cap",
-        type=int,
-        default=None,
-        help="largest flow count the scalar engine is asked to run",
-    )
-    psc.add_argument("--repeats", type=int, default=None, help="best-of-N wall timing")
-    psc.add_argument("--seed", type=int, default=0)
-    psc.add_argument(
-        "--check",
-        action="store_true",
-        help="nonzero exit if paired engines disagree (phase sim times, "
-        "dynamic FCT statistics)",
-    )
-    psc.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FLOORS.json",
-        help="nonzero exit if the run violates a committed floors "
-        "document (telemetry presence/magnitude gate)",
-    )
-    psc.add_argument(
-        "--output", "-o", type=Path, default=None, help="write the BENCH_fluid JSON document"
-    )
-    add_trace_arg(psc, "repro_scale")
-
     pv2 = sub.add_parser(
         "serve",
-        help="query stored route tables: JSON-lines batch mode, an asyncio "
-        "TCP endpoint, or the serving benchmark",
+        help="query stored route tables: JSON-lines batch mode or an "
+        "asyncio TCP endpoint",
     )
     pv2.add_argument("--topology", default="XGFT(2;16,16;1,8)", help="XGFT spec string")
     pv2.add_argument("--algorithm", default="d-mod-k", help="registry algorithm spec")
-    pv2.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=None,
-        help="(--bench) algorithms to measure (default: d-mod-k random)",
-    )
     pv2.add_argument("--seed", type=int, default=0)
     pv2.add_argument(
         "--faults",
@@ -481,29 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="run the asyncio JSON-lines TCP endpoint (port 0 = ephemeral)",
     )
-    mode.add_argument(
-        "--bench",
-        action="store_true",
-        help="measure bytes/route and lookups/sec (the BENCH_serve document)",
-    )
-    pv2.add_argument(
-        "--batch-size", type=int, default=65536, help="(--bench) lookups per batch"
-    )
-    pv2.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="(--bench) committed floors to gate on (nonzero exit on regression)",
-    )
-    pv2.add_argument(
-        "--output", "-o", type=Path, default=None, help="(--bench) write the BENCH_serve JSON"
-    )
     add_trace_arg(pv2, "repro_serve")
 
     pp = sub.add_parser(
         "profile",
-        help="run a dynamic workload, sweep spec, or scale preset under "
-        "tracing; write the trace pair and print a top-spans table",
+        help="run a dynamic workload or sweep spec under tracing; write "
+        "the trace pair and print a top-spans table",
     )
     pp.add_argument(
         "--workload",
@@ -511,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="dynamic workload specs to drive ('poisson(load=0.5)', ...); "
-        "the default mode when --spec/--scale-preset are absent",
+        "the default mode when --spec is absent",
     )
     pp.add_argument(
         "--topology", default="XGFT(2;8,8;1,4)", help="XGFT spec for --workload mode"
@@ -524,12 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="profile this JSON sweep spec instead of a dynamic workload",
-    )
-    pp.add_argument(
-        "--scale-preset",
-        choices=tuple(experiments.PRESETS),
-        default=None,
-        help="profile the fluid scaling benchmark preset instead",
     )
     pp.add_argument(
         "--limit", type=int, default=15, help="top-span rows to print"
@@ -545,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--overhead-check",
         action="store_true",
         help="instead of tracing: A/B the disabled-instrumentation cost "
-        "on the scale smoke preset and fail above --tolerance",
+        "on the same workload or spec and fail above --tolerance",
     )
     pp.add_argument(
         "--repeats", type=int, default=3, help="(--overhead-check) best-of-N timing"
@@ -727,41 +635,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import (
-        RouteServer,
-        check_baseline,
-        decode_error_response,
-        handle_request,
-        run_benchmark,
-        write_benchmark,
-    )
-
-    if args.bench:
-        algorithms = tuple(args.algorithms or ("d-mod-k", "random"))
-        results = run_benchmark(
-            topologies=(args.topology,),
-            algorithms=algorithms,
-            seed=args.seed,
-            store=args.store,
-            batch_size=args.batch_size,
-        )
-        for e in results["entries"]:
-            print(
-                f"{e['algorithm']:>10s} on {e['topology']}: {e['encoding']:11s} "
-                f"{e['compact_bytes_per_route']:.4f} B/route ({e['compression']}x vs "
-                f"{e['full_bytes_per_route']:.0f}), batch {e['batch_lookups_per_sec']:,}/s, "
-                f"async {e['async_lookups_per_sec']:,}/s, verified={e['verified']}"
-            )
-        if args.output is not None:
-            print(f"benchmark written to {write_benchmark(results, args.output)}")
-        if args.baseline is not None:
-            failures = check_baseline(results, json.loads(args.baseline.read_text()))
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("baseline gate: PASS")
-        return 0
+    from .serve import RouteServer, answer_line
 
     try:
         server = RouteServer.from_store(
@@ -777,19 +651,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"error: {exc.args[0]} (drop --no-build to build it now)"
         ) from exc
     if args.batch is not None:
-        lines = sys.stdin if args.batch == "-" else Path(args.batch).open()
+        # bytes in: a line that is not UTF-8 gets its own error answer
+        lines = sys.stdin.buffer if args.batch == "-" else Path(args.batch).open("rb")
         errors = 0
         with lines:
             for line in lines:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    response = decode_error_response(server, exc)
-                else:
-                    response = handle_request(server, request)
+                response = answer_line(server, line)
                 if not response.get("ok"):
                     errors += 1
                 print(json.dumps(response))
@@ -902,45 +772,6 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     return _baseline_gate(args, result)
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    data = experiments.run_scale(
-        topologies=args.topologies,
-        flow_counts=args.flows,
-        size_modes=args.sizes,
-        engines=args.engines,
-        preset=args.preset,
-        scalar_cap=args.scalar_cap,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    print(experiments.format_scale_results(data))
-    if args.output is not None:
-        path = experiments.write_bench(data, args.output)
-        print(f"\nbench document written to {path}")
-    if args.check:
-        problems = experiments.check_agreement(data)
-        if problems:
-            # check_agreement itself flags an empty pairing (a gate that
-            # compared nothing must not pass); label the two failure
-            # modes the way CI logs grep for them
-            if not data["speedups"] and not data.get("dynamic_pairs"):
-                print(f"CHECK INEFFECTIVE: {problems[0]}", file=sys.stderr)
-            else:
-                for problem in problems:
-                    print(f"DISAGREEMENT: {problem}", file=sys.stderr)
-            return 1
-        print("paired engines agree on every shared grid cell")
-    if args.baseline is not None:
-        floors = experiments.load_floors(args.baseline)
-        violations = experiments.check_floors(data, floors)
-        if violations:
-            for violation in violations:
-                print(f"FLOOR: {violation}", file=sys.stderr)
-            return 1
-        print(f"all floors in {args.baseline} hold")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
@@ -954,32 +785,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         top_spans,
     )
 
-    if args.overhead_check:
-        result = run_overhead_check(repeats=args.repeats, tolerance=args.tolerance)
-        print(format_overhead(result))
-        return 0 if result["ok"] else 1
-
-    if args.spec is not None and args.scale_preset is not None:
-        raise SystemExit("error: --spec and --scale-preset are mutually exclusive")
-
-    TRACER.enable()
-    TRACER.clear()
-    counters_before = counter_values()
-    t0 = time.perf_counter()
-    if args.scale_preset is not None:
-        what = f"scale --preset {args.scale_preset}"
-        with TRACER.span("profile.run", mode="scale", preset=args.scale_preset):
-            data = experiments.run_scale(preset=args.scale_preset)
-        tail = f"{len(data['rows'])} scale rows"
-    elif args.spec is not None:
+    # tracing and the overhead gate run the same sweep spec
+    if args.spec is not None:
         what = f"sweep --spec {args.spec}"
+        root = {"mode": "sweep", "spec": str(args.spec)}
         spec = experiments.SweepSpec.from_dict(json.loads(args.spec.read_text()))
-        with TRACER.span("profile.run", mode="sweep", spec=str(args.spec)):
-            result = experiments.run_sweep(spec)
-        tail = f"{len(result.runs)} sweep runs"
     else:
         workloads = list(args.workload or ["poisson(load=0.5)"])
         what = f"dynamic {' '.join(workloads)}"
+        root = {"mode": "dynamic", "topology": args.topology}
         spec = experiments.dynamic_grid_spec(
             topology=args.topology,
             workloads=workloads,
@@ -987,15 +801,27 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             seeds=args.seeds,
             engine=args.engine,
         )
-        with TRACER.span("profile.run", mode="dynamic", topology=args.topology):
-            result = experiments.run_sweep(spec)
-        tail = f"{len(result.runs)} dynamic runs"
+
+    if args.overhead_check:
+        result = run_overhead_check(spec, repeats=args.repeats, tolerance=args.tolerance)
+        print(format_overhead(result))
+        return 0 if result["ok"] else 1
+
+    TRACER.enable()
+    TRACER.clear()
+    counters_before = counter_values()
+    t0 = time.perf_counter()
+    with TRACER.span("profile.run", **root):
+        result = experiments.run_sweep(spec)
     wall_s = time.perf_counter() - t0
     TRACER.disable()
 
     spans = TRACER.spans()
     jsonl_path, perfetto_path = write_trace_files(args.output)
-    print(f"profiled {what}: {tail}, {len(spans)} spans in {wall_s:.2f}s\n")
+    print(
+        f"profiled {what}: {len(result.runs)} {root['mode']} runs, "
+        f"{len(spans)} spans in {wall_s:.2f}s\n"
+    )
     print(format_top_spans(top_spans(spans, limit=args.limit), wall_s=wall_s))
     print(f"\nspan coverage: {coverage(spans):.1%} of traced wall time")
     counters = format_counters(counters_before, counter_values())
@@ -1089,7 +915,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(args.log_level)
-    # --trace PREFIX (sweep/dynamic/scale/serve) or $REPRO_TRACE=<prefix>
+    # --trace PREFIX (sweep/dynamic/serve/graphs) or $REPRO_TRACE=<prefix>
     # wraps any command; `profile` drives the tracer itself.
     trace_prefix = getattr(args, "trace", None)
     if trace_prefix is None:
@@ -1138,8 +964,6 @@ def _run(args: argparse.Namespace) -> int:
         return _cmd_faults(args)
     elif args.command == "dynamic":
         return _cmd_dynamic(args)
-    elif args.command == "scale":
-        return _cmd_scale(args)
     elif args.command == "serve":
         return _cmd_serve(args)
     elif args.command == "compare":

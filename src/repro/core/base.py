@@ -35,7 +35,7 @@ import numpy.typing as npt
 from ..topology import XGFT
 from .route import IntArray, Route, RouteTable
 
-__all__ = ["PairInput", "RoutingAlgorithm", "RouteTable", "pair_array"]
+__all__ = ["PairInput", "RoutingAlgorithm", "RouteTable", "leaf_ids", "pair_array"]
 
 #: what :meth:`RoutingAlgorithm.build_table` accepts: an ``(F, 2)``
 #: integer array or any iterable of ``(src, dst)`` pairs
@@ -52,21 +52,15 @@ def pair_array(pairs: PairInput, num_leaves: int) -> IntArray:
     non-integer endpoint or one outside ``[0, num_leaves)``.  The range
     check is one vectorized min/max.
     """
-    if isinstance(pairs, np.ndarray):
-        arr = pairs
-    else:
-        try:
-            arr = np.asarray(pairs if isinstance(pairs, Sequence) else list(pairs))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"pairs must be (src, dst) leaf-id pairs: {exc}") from None
+    arr = _converted(pairs, "pairs must be (src, dst) leaf-id pairs")
     if arr.ndim == 1 and arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"pairs must be (src, dst) pairs of shape (F, 2), got shape {arr.shape}")
     if len(arr) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if arr.dtype.kind not in "iu":
-        f = _first_non_integer(arr)
+    f = _first_non_integer(arr)
+    if f is not None:
         raise ValueError(
             f"pair {tuple(arr[f].tolist())} at row {f} is not a pair of integer "
             f"leaf ids (dtype {arr.dtype})"
@@ -80,14 +74,59 @@ def pair_array(pairs: PairInput, num_leaves: int) -> IntArray:
     return arr.astype(np.int64, copy=False)
 
 
-def _first_non_integer(arr: np.ndarray) -> int:
-    """Row of the first non-integral value (row 0 if none is numeric)."""
+def leaf_ids(values: object) -> IntArray:
+    """A flat batch of integer leaf ids as int64: one column of :func:`pair_array`.
+
+    For callers that take sources and destinations apart (the route
+    server's JSON requests): the same conversion and integer rule, with
+    no range check, so the caller keeps its own range error.  Raises
+    ``ValueError`` for a batch that is not flat and for the first entry
+    that is not a 64-bit integer: floats (integral or not), bools,
+    strings and ints beyond 64 bits are rejected, never truncated.
+    """
+    arr = _converted(values, "leaf ids must be a flat list of integers")
+    if arr.ndim != 1:
+        raise ValueError(f"leaf ids must be a flat list of integers, got shape {arr.shape}")
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    f = _first_non_integer(arr[:, None])
+    if f is not None:
+        raise ValueError(
+            f"leaf id {arr[f : f + 1].tolist()[0]!r} at index {f} is not a 64-bit "
+            f"integer (dtype {arr.dtype})"
+        )
+    # a uint64 id past the int64 range wraps negative: the caller's
+    # range check rejects it like any other id outside the tree
+    return arr.astype(np.int64, copy=False)
+
+
+def _converted(values: object, what: str) -> np.ndarray:
+    """``values`` as an array, converted once (an array passes through)."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.asarray(values if isinstance(values, Sequence) else list(values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def _first_non_integer(arr: np.ndarray) -> int | None:
+    """Row of the first non-integer entry of a 2-D batch; None if it has none.
+
+    The leaf-id rule: only integer dtypes pass.  Any other dtype fails
+    as a whole (bool, float, string, or object for ints beyond 64
+    bits); the row is only for the error message: the first one holding
+    a fractional, non-finite or out-of-int64 value, else row 0.
+    """
+    if arr.dtype.kind in "iu":
+        return None
     try:
         with np.errstate(invalid="ignore"):
-            frac = arr.astype(np.float64) % 1 != 0
-    except (TypeError, ValueError):
+            values = arr.astype(np.float64)
+            bad = (values % 1 != 0) | (np.abs(values) >= 2.0**63)
+    except (TypeError, ValueError, OverflowError):
         return 0
-    rows = np.flatnonzero(frac.any(axis=1))
+    rows = np.flatnonzero(bad.any(axis=1))
     return int(rows[0]) if len(rows) else 0
 
 

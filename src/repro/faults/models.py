@@ -302,8 +302,11 @@ def parse_fault_spec(spec: str) -> FaultSpec:
 
     Raises ``ValueError`` on unknown kinds, unknown or malformed
     parameters, and on specs that could never be realized (e.g. ``links``
-    with neither ``rate`` nor ``count``).
+    with neither ``rate`` nor ``count``), and ``TypeError`` on a
+    non-string spec.
     """
+    if not isinstance(spec, str):
+        raise TypeError(f"a fault spec must be a string, got {type(spec).__name__}")
     text = spec.strip().lower()
     kind, _, arglist = text.partition(":")
     kind = kind.strip()

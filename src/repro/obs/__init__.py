@@ -18,10 +18,10 @@ The module-level activity switch
 :func:`active` / :func:`deactivated` exist for the CI overhead gate:
 engines capture ``obs.active()`` at construction and skip *all*
 telemetry work (even the disabled-tracer attribute check and counter
-arithmetic) when it is ``False``.  Comparing ``repro scale`` under
+arithmetic) when it is ``False``.  Comparing a sweep under
 ``deactivated()`` against the default (instrumented but not tracing)
 measures the true cost of carrying the instrumentation, which CI
-asserts stays ≤ 2%.
+asserts stays ≤ 2% (``repro profile --overhead-check``).
 """
 
 from __future__ import annotations

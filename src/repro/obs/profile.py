@@ -1,7 +1,7 @@
 """Profiling views over a recorded trace + the CI overhead gate.
 
 Kept out of ``repro.obs``'s eager imports: this module reaches into
-the experiments layer (``run_scale``) for the overhead gate, and only
+the experiments layer (``run_sweep``) for the overhead gate, and only
 the CLI needs it.
 
 * :func:`top_spans` — per-name rows with **self time** (duration minus
@@ -11,18 +11,22 @@ the CLI needs it.
   named non-root spans (the acceptance gate asks ≥ 0.95);
 * :func:`counter_values` / :func:`format_counters` — the counters a
   profiled run moved (work done, not time spent);
-* :func:`run_overhead_check` — A/B the ``repro scale`` smoke grid with
-  instrumentation compiled out (:func:`repro.obs.deactivated`) vs the
-  default instrumented-but-disabled path; CI asserts the ratio ≤ 1.02.
+* :func:`run_overhead_check` — A/B one sweep spec (the one
+  ``repro profile`` would trace) with instrumentation compiled out
+  (:func:`repro.obs.deactivated`) vs the default
+  instrumented-but-disabled path; CI asserts the ratio ≤ 1.02.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .metrics import REGISTRY, MetricsRegistry
 from .trace import TRACER, SpanRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.sweep import SweepSpec
 
 __all__ = [
     "counter_values",
@@ -132,19 +136,19 @@ def format_counters(before: Mapping[str, float], after: Mapping[str, float]) -> 
 
 
 def run_overhead_check(
-    preset: str = "smoke",
+    spec: "SweepSpec",
     repeats: int = 3,
     tolerance: float = 0.02,
 ) -> dict:
     """Measure the cost of carrying (disabled) instrumentation.
 
-    Runs the ``repro scale`` grid in *pairs* — once with
-    instrumentation compiled out via :func:`repro.obs.deactivated`
-    (baseline), once on the default path (instrumented, tracer
-    disabled) — keeping the best wall time per arm.  Pairs alternate
-    which arm goes first so slow machine phases (CI neighbors, thermal
-    throttling) inflate both arms equally, and a warmup pair pays the
-    numpy/module cache cost up front.
+    Runs ``run_sweep(spec)`` in *pairs* — once with instrumentation
+    compiled out via :func:`repro.obs.deactivated` (baseline), once on
+    the default path (instrumented, tracer disabled) — keeping the best
+    wall time per arm.  Pairs alternate which arm goes first so slow
+    machine phases (CI neighbors, thermal throttling) inflate both arms
+    equally, and a warmup pair pays the numpy/module cache cost up
+    front.
 
     Wall-clock noise is strictly additive, so every extra observation
     can only sharpen an arm's minimum toward its true cost; a genuine
@@ -155,7 +159,7 @@ def run_overhead_check(
     Returns a verdict dict; ``ok`` is the CI gate.
     """
     from .. import obs
-    from ..experiments.scale import run_scale
+    from ..experiments import sweep
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -166,10 +170,10 @@ def run_overhead_check(
         if deactivated:
             with obs.deactivated():
                 t0 = time.perf_counter()
-                run_scale(preset=preset)
+                sweep.run_sweep(spec)
                 return time.perf_counter() - t0
         t0 = time.perf_counter()
-        run_scale(preset=preset)
+        sweep.run_sweep(spec)
         return time.perf_counter() - t0
 
     pairs = 0
@@ -197,7 +201,8 @@ def run_overhead_check(
     ratio = instrumented_s / baseline_s if baseline_s > 0 else float("inf")
     overhead = ratio - 1.0
     return {
-        "preset": preset,
+        "spec": spec.name,
+        "engine": spec.engine,
         "repeats": pairs,
         "baseline_s": round(baseline_s, 6),
         "instrumented_s": round(instrumented_s, 6),
@@ -212,7 +217,7 @@ def format_overhead(result: dict) -> str:
     """One-paragraph CLI rendering of :func:`run_overhead_check`."""
     verdict = "OK" if result["ok"] else "FAIL"
     return (
-        f"overhead check [{verdict}] preset={result['preset']} "
+        f"overhead check [{verdict}] spec={result['spec']} engine={result['engine']} "
         f"baseline={result['baseline_s']:.3f}s "
         f"instrumented={result['instrumented_s']:.3f}s "
         f"overhead={result['overhead_pct']:+.2f}% "

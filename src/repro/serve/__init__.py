@@ -1,23 +1,25 @@
 """Route serving: batch/async queries over stored compact tables.
 
-* :mod:`repro.serve.server` — :class:`RouteServer` (vectorized lookups,
-  what-if fault repair, LFT export), the JSON-lines protocol dispatcher
-  and the asyncio TCP endpoint;
-* :mod:`repro.serve.bench` — the bytes/route + lookups/sec benchmark
-  behind ``BENCH_serve.json`` and the CI baseline gate.
+:mod:`repro.serve.server` holds :class:`RouteServer` (vectorized
+lookups, what-if fault repair, LFT export), the JSON-lines protocol
+dispatcher and the asyncio TCP endpoint.
 
-Shell entry point: ``repro serve`` (see ``docs/serving.md``).
+Shell entry point: ``repro serve`` (see ``docs/serving.md``).  The
+serving benchmark is the ``serve`` workload of ``bench/run.py``.
 """
 
-from .bench import check_baseline, run_benchmark, write_benchmark
-from .server import RouteServer, decode_error_response, handle_request, serve_forever
+from .server import (
+    RouteServer,
+    answer_line,
+    decode_error_response,
+    handle_request,
+    serve_forever,
+)
 
 __all__ = [
     "RouteServer",
-    "check_baseline",
+    "answer_line",
     "decode_error_response",
     "handle_request",
-    "run_benchmark",
     "serve_forever",
-    "write_benchmark",
 ]

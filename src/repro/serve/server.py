@@ -33,7 +33,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.base import leaf_ids
 from ..obs import active as _obs_active
+from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACER
 from ..store import ArtifactStore, CompactRouteTable, StoreKey, open_table
@@ -43,13 +45,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.route import RouteTable
     from ..faults import DegradedTopology
 
-__all__ = ["RouteServer", "decode_error_response", "handle_request", "serve_forever"]
+__all__ = [
+    "RouteServer",
+    "answer_line",
+    "decode_error_response",
+    "handle_request",
+    "serve_forever",
+]
+
+_log = get_logger(__name__)
 
 #: the protocol ops the dispatcher understands
 PROTOCOL_OPS = ("ping", "info", "stats", "metrics", "lookup", "batch")
 
 #: JSON-lines reader buffer limit — a 64k-pair batch request is ~1 MB of
-#: JSON, so the asyncio default of 64 KiB would reject real batches
+#: JSON, so the asyncio default of 64 KiB would reject real batches.  A
+#: longer line is answered with an in-band error and skipped.
 STREAM_LIMIT = 16 * 1024 * 1024
 
 
@@ -112,14 +123,17 @@ class RouteServer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized lookup: ``(nca (B,), ports (B, h), status (B,))``.
 
+        Endpoints are flat batches of integer leaf ids
+        (:func:`repro.core.base.leaf_ids`): a float, bool or string
+        endpoint raises ``ValueError`` instead of being truncated.
         Without ``faults``, status is all :data:`~repro.faults.PAIR_INTACT`.
         With a fault spec, routes broken on the degraded fabric are
         repaired (or marked disconnected) exactly as a persisted
         repaired table would hold them — the served artifact itself is
         untouched.
         """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
+        srcs = leaf_ids(srcs)
+        dsts = leaf_ids(dsts)
         nca, ports = self.table.batch_lookup(srcs, dsts)
         self._c_queries.inc()
         self._c_routes.inc(len(srcs))
@@ -226,24 +240,44 @@ class RouteServer:
 def handle_request(server: RouteServer, request: dict) -> dict:
     """Answer one protocol request object (see ``docs/serving.md``).
 
-    Never raises on bad input — protocol errors come back as
+    Never raises — protocol errors come back as
     ``{"ok": false, "error": ...}`` so one malformed line cannot kill a
-    connection that other clients' batches are multiplexed onto.  Every
-    request feeds the server's per-op latency histogram, and failures
-    its per-op error counters (both visible via the ``metrics`` op).
+    connection that other clients' batches are multiplexed onto; an
+    exception no check anticipated is logged and answered the same way,
+    as an internal error.  Every request feeds the server's per-op
+    latency histogram, and failures its per-op error counters (both
+    visible via the ``metrics`` op).
     """
     op = request.get("op") if isinstance(request, dict) else None
     op_label = op if isinstance(op, str) and op in PROTOCOL_OPS else "unknown"
     t0 = time.perf_counter()
-    if server._obs_on and TRACER.enabled:
-        with TRACER.span("serve.request", op=op_label):
+    try:
+        if server._obs_on and TRACER.enabled:
+            with TRACER.span("serve.request", op=op_label):
+                response = _dispatch(server, request, op)
+        else:
             response = _dispatch(server, request, op)
-    else:
-        response = _dispatch(server, request, op)
+    except Exception as exc:  # a server bug must not drop the connection
+        _log.exception("unhandled error answering a %r request", op_label)
+        response = {"ok": False, "error": f"internal error: {type(exc).__name__}: {exc}"}
     server.observe_latency(op_label, time.perf_counter() - t0)
     if not response.get("ok"):
         server.record_error(op_label)
     return response
+
+
+def answer_line(server: RouteServer, line: str | bytes) -> dict:
+    """The response to one JSON-lines request line; never raises.
+
+    The per-line path of both transports: a line that does not decode
+    (bad JSON, invalid UTF-8, nesting past the recursion limit) gets
+    :func:`decode_error_response`, anything else :func:`handle_request`.
+    """
+    try:
+        request = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return decode_error_response(server, exc)
+    return handle_request(server, request)
 
 
 def decode_error_response(server: RouteServer, exc: Exception) -> dict:
@@ -278,10 +312,10 @@ def _dispatch(server: RouteServer, request, op) -> dict:
             return {"ok": True, "op": "metrics", "metrics": server.metrics.snapshot()}
         if op == "lookup":
             nca, ports, status = server.batch_lookup(
-                [int(request["src"])],
-                [int(request["dst"])],
+                [request["src"]],
+                [request["dst"]],
                 faults=request.get("faults"),
-                repair_seed=int(request.get("repair_seed", 0)),
+                repair_seed=_repair_seed(request),
             )
             lvl = int(nca[0])
             return {
@@ -296,7 +330,7 @@ def _dispatch(server: RouteServer, request, op) -> dict:
                 request["src"],
                 request["dst"],
                 faults=request.get("faults"),
-                repair_seed=int(request.get("repair_seed", 0)),
+                repair_seed=_repair_seed(request),
             )
             return {
                 "ok": True,
@@ -311,31 +345,65 @@ def _dispatch(server: RouteServer, request, op) -> dict:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _repair_seed(request: dict) -> int:
+    """The request's repair seed: an integer (a bool or float is refused)."""
+    seed = request.get("repair_seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"repair_seed must be an integer, got {type(seed).__name__}")
+    return seed
+
+
 async def _handle_connection(
     server: RouteServer, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
     try:
         while True:
-            line = await reader.readline()
-            if not line:
-                break
-            text = line.strip()
-            if not text:
-                continue
             try:
-                request = json.loads(text)
-            except json.JSONDecodeError as exc:
-                response = decode_error_response(server, exc)
-            else:
-                response = handle_request(server, request)
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF: an unterminated last line, or nothing
+                if not line:
+                    break
+            except asyncio.LimitOverrunError as exc:
+                server.record_error("decode")
+                await _reply(
+                    writer,
+                    {"ok": False, "error": f"request line longer than {STREAM_LIMIT} bytes"},
+                )
+                if not await _skip_line(reader, exc.consumed):
+                    break
+                continue
+            if line.strip():
+                await _reply(writer, answer_line(server, line))
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, BrokenPipeError):  # pragma: no cover
             pass
+
+
+async def _reply(writer: asyncio.StreamWriter, response: dict) -> None:
+    writer.write(json.dumps(response).encode() + b"\n")
+    await writer.drain()
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Drop an oversize line through its newline; False at EOF.
+
+    ``consumed`` is the overrun's count of buffered bytes known to hold
+    no newline; dropping them and retrying walks the line in chunks of
+    at most the stream limit.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return False
 
 
 async def serve_forever(

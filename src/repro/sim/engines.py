@@ -58,8 +58,8 @@ ENGINES: Registry = Registry("engine")
 
 #: the engine used when a caller does not name one.  ``fluid-vec`` is
 #: the default: the equivalence suite (property + golden + Venus
-#: cross-validation) proves it computes the scalar engine's allocation,
-#: and ``BENCH_fluid.json`` its order-of-magnitude speedups at scale.
+#: cross-validation + the engine-agreement cells) proves it computes
+#: the scalar engine's allocation, and ``bench/run.py`` times it.
 DEFAULT_ENGINE = "fluid-vec"
 
 

@@ -21,8 +21,8 @@ at 750 KB messages; the flit-level engine models latency).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -114,6 +114,10 @@ class FluidSimulator:
         current time (their :class:`FlowResult` has ``start == finish``)
         without ever joining the active set.
         """
+        self._admit(flow_id, self._checked(flow_id, links, size), size)
+
+    def _checked(self, flow_id: int, links: Sequence[int], size: float) -> tuple[int, ...]:
+        """Validate one flow; its links with repeats collapsed."""
         if flow_id in self._flows:
             raise ValueError(f"flow id {flow_id} already active")
         # a repeated link would double-count the flow against that
@@ -128,6 +132,9 @@ class FluidSimulator:
             raise ValueError(f"flow size must be finite, got {size}")
         if size < 0:
             raise ValueError("flow size must be non-negative")
+        return links
+
+    def _admit(self, flow_id: int, links: tuple[int, ...], size: float) -> None:
         if size == 0:
             self._results.append(FlowResult(flow_id, self.now, self.now, 0.0))
             return
@@ -148,8 +155,12 @@ class FluidSimulator:
         Same contract as :meth:`VecFluidSimulator.add_flows
         <repro.sim.fluid_vec.VecFluidSimulator.add_flows>`: ``coo_flow``
         indexes into ``flow_ids`` and ``coo_link`` lists the traversed
-        links.  The scalar engine simply unpacks the batch.
+        links.  The scalar engine unpacks the batch, checks every flow
+        (ids unique within the batch too), then admits them: a rejected
+        batch admits nothing.
         """
+        if len(sizes) != len(flow_ids):
+            raise ValueError("flow_ids and sizes must be parallel 1-d arrays")
         coo_flow = np.asarray(coo_flow, dtype=np.int64)
         coo_link = np.asarray(coo_link, dtype=np.int64)
         if len(coo_flow) and (coo_flow.min() < 0 or coo_flow.max() >= len(flow_ids)):
@@ -157,8 +168,14 @@ class FluidSimulator:
         per_flow: list[list[int]] = [[] for _ in range(len(flow_ids))]
         for f, l in zip(coo_flow.tolist(), coo_link.tolist()):
             per_flow[f].append(l)
+        batch = []
         for fid, size, links in zip(flow_ids, sizes, per_flow):
-            self.add_flow(int(fid), links, float(size))
+            fid, size = int(fid), float(size)
+            batch.append((fid, self._checked(fid, links, size), size))
+        if len({fid for fid, _, _ in batch}) != len(batch):
+            raise ValueError("duplicate flow ids within the batch")
+        for fid, links, size in batch:
+            self._admit(fid, links, size)
 
     @property
     def active_flows(self) -> int:

@@ -15,8 +15,7 @@ active flow, and all flows reaching zero remaining bytes complete
 together, their incidence entries mask-filtered out, so
 ``run_until_idle`` advances in O(completion events) vectorized steps.
 At 10⁴+ concurrent flows this is the difference between seconds and
-minutes — see ``benchmarks/bench_fluid_scale.py`` and the committed
-``BENCH_fluid.json``.
+minutes (measured history in ``docs/performance.md``).
 
 The public surface (:class:`repro.sim.maxmin.BatchFluidEngine`) mirrors
 the scalar engine and adds :meth:`add_flows`, a batch injection path

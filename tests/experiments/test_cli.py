@@ -269,37 +269,6 @@ class TestServeCommand:
                 "--store", str(tmp_path / "store"), "--no-build",
             ])
 
-    def test_bench_writes_report_and_gates(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "require_verified": True,
-            "min_compression": {"d-mod-k": 4.0},
-            "min_batch_lookups_per_sec": 1,
-            "min_async_lookups_per_sec": 1,
-        }))
-        assert main([
-            "serve", "--bench", "--topology", self.TOPO,
-            "--algorithms", "d-mod-k",
-            "--store", str(tmp_path / "store"),
-            "--batch-size", "1024",
-            "--output", str(out), "--baseline", str(baseline),
-        ]) == 0
-        report = json.loads(out.read_text())
-        assert report["entries"][0]["verified"]
-        assert "PASS" in capsys.readouterr().out
-
-    def test_bench_baseline_failure_exits_nonzero(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"min_batch_lookups_per_sec": 10**15}))
-        assert main([
-            "serve", "--bench", "--topology", self.TOPO,
-            "--algorithms", "d-mod-k",
-            "--store", str(tmp_path / "store"),
-            "--batch-size", "512", "--baseline", str(baseline),
-        ]) == 1
-        assert "FAIL" in capsys.readouterr().err
-
 
 class TestProfileCommand:
     def test_workload_profile_writes_trace_pair(self, tmp_path, capsys):
@@ -334,30 +303,41 @@ class TestProfileCommand:
         assert "colored.evaluations" in out
         assert "colored.moves" in out
 
-    def test_spec_and_scale_preset_conflict(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text("{}")
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["profile", "--spec", str(spec), "--scale-preset", "smoke"])
-
-    def test_overhead_check_arg_wiring(self, monkeypatch, capsys):
+    def test_overhead_check_arg_wiring(self, monkeypatch, capsys, tmp_path):
+        """The gate A/Bs the very spec the trace mode would run."""
         import repro.obs.profile as profile_mod
 
         seen = {}
 
-        def fake_check(repeats, tolerance):
-            seen.update(repeats=repeats, tolerance=tolerance)
+        def fake_check(spec, repeats, tolerance):
+            seen.update(spec=spec, repeats=repeats, tolerance=tolerance)
             return {
-                "preset": "smoke", "repeats": repeats, "baseline_s": 1.0,
-                "instrumented_s": 1.0, "ratio": 1.0, "overhead_pct": 0.0,
-                "tolerance_pct": tolerance * 100, "ok": True,
+                "spec": spec.name, "engine": spec.engine, "repeats": repeats,
+                "baseline_s": 1.0, "instrumented_s": 1.0, "ratio": 1.0,
+                "overhead_pct": 0.0, "tolerance_pct": tolerance * 100, "ok": True,
             }
 
         monkeypatch.setattr(profile_mod, "run_overhead_check", fake_check)
-        assert main(["profile", "--overhead-check", "--repeats", "2",
-                     "--tolerance", "0.1"]) == 0
-        assert seen == {"repeats": 2, "tolerance": 0.1}
-        assert "[OK]" in capsys.readouterr().out
+        assert main(["profile", "--overhead-check",
+                     "--workload", "poisson(load=0.7,flows=600)",
+                     "--topology", "XGFT(2;4,4;1,2)", "--engine", "fluid-vec-inc",
+                     "--repeats", "2", "--tolerance", "0.1"]) == 0
+        assert (seen["repeats"], seen["tolerance"]) == (2, 0.1)
+        spec = seen["spec"]
+        assert spec.topologies == ("XGFT(2;4,4;1,2)",)
+        (workload,) = spec.workloads  # canonicalized by the spec
+        assert "load=0.7" in workload and "flows=600" in workload
+        assert spec.engine == "fluid-vec-inc"
+        assert "[OK] spec=dynamic engine=fluid-vec-inc" in capsys.readouterr().out
+
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "name": "tiny", "topologies": ["XGFT(2;4,4;1,2)"],
+            "patterns": ["shift-1"], "algorithms": ["d-mod-k"], "engine": "fluid",
+        }))
+        assert main(["profile", "--overhead-check", "--spec", str(spec_file)]) == 0
+        assert (seen["spec"].name, seen["spec"].engine) == ("tiny", "fluid")
+        assert (seen["repeats"], seen["tolerance"]) == (3, 0.02)
 
 
 class TestTracePlumbing:

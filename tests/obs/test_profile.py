@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import sweep as sweep_mod
+from repro.experiments.sweep import SweepSpec
 from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
@@ -103,7 +105,7 @@ class TestFormatting:
 
     def test_format_overhead_verdicts(self):
         base = {
-            "preset": "smoke", "repeats": 3, "baseline_s": 1.0,
+            "spec": "ci-smoke", "engine": "fluid", "repeats": 3, "baseline_s": 1.0,
             "instrumented_s": 1.01, "ratio": 1.01, "overhead_pct": 1.0,
             "tolerance_pct": 2.0, "ok": True,
         }
@@ -112,6 +114,11 @@ class TestFormatting:
 
 
 class TestOverheadCheck:
+    SPEC = SweepSpec(
+        topologies=("XGFT(2;4,4;1,2)",), patterns=("shift-1",), algorithms=("d-mod-k",),
+        name="stub", engine="fluid",
+    )
+
     def test_gate_logic_with_stubbed_workload(self, monkeypatch):
         # substitute a deterministic "workload" so the gate's pairing,
         # best-of, and verdict logic are tested without wall-clock noise
@@ -119,38 +126,39 @@ class TestOverheadCheck:
 
         times = iter([5.0] * 40)
         clock = {"now": 0.0}
+        seen = []
 
-        def fake_run_scale(preset="smoke", **kwargs):
+        def fake_run_sweep(spec, **kwargs):
+            seen.append(spec)
             cost = next(times)
             if not obs.active():
                 cost *= 0.5  # instrumented arm twice as expensive
             clock["now"] += cost
 
-        import repro.experiments.scale as scale_mod
-
-        monkeypatch.setattr(scale_mod, "run_scale", fake_run_scale)
+        monkeypatch.setattr(sweep_mod, "run_sweep", fake_run_sweep)
         monkeypatch.setattr(profile_mod.time, "perf_counter", lambda: clock["now"])
-        result = run_overhead_check(repeats=2, tolerance=0.02)
+        result = run_overhead_check(self.SPEC, repeats=2, tolerance=0.02)
         assert result["ok"] is False
         assert result["ratio"] == pytest.approx(2.0)
         # a failing check keeps measuring up to its 3x budget
         assert result["repeats"] == 6
+        # both arms of every pair (plus the warmup pair) ran the given spec
+        assert len(seen) == 2 * (6 + 1) and all(s is self.SPEC for s in seen)
+        assert (result["spec"], result["engine"]) == ("stub", "fluid")
 
     def test_gate_passes_on_equal_arms(self, monkeypatch):
         clock = {"now": 0.0}
 
-        def fake_run_scale(preset="smoke", **kwargs):
+        def fake_run_sweep(spec, **kwargs):
             clock["now"] += 1.0
 
-        import repro.experiments.scale as scale_mod
-
-        monkeypatch.setattr(scale_mod, "run_scale", fake_run_scale)
+        monkeypatch.setattr(sweep_mod, "run_sweep", fake_run_sweep)
         monkeypatch.setattr(profile_mod.time, "perf_counter", lambda: clock["now"])
-        result = run_overhead_check(repeats=2, tolerance=0.02)
+        result = run_overhead_check(self.SPEC, repeats=2, tolerance=0.02)
         assert result["ok"] is True
         assert result["repeats"] == 2
         assert result["overhead_pct"] == 0.0
 
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
-            run_overhead_check(repeats=0)
+            run_overhead_check(self.SPEC, repeats=0)

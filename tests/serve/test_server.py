@@ -1,4 +1,4 @@
-"""Tests for the RouteServer query layer, protocol and benchmark gate."""
+"""Tests for the RouteServer query layer and protocol."""
 
 from __future__ import annotations
 
@@ -17,15 +17,8 @@ from repro.faults import (
     parse_fault_spec,
     repair_table,
 )
-from repro.serve import (
-    RouteServer,
-    check_baseline,
-    handle_request,
-    run_benchmark,
-    serve_forever,
-)
+from repro.serve import RouteServer, handle_request, serve_forever
 from repro.serve.server import STREAM_LIMIT
-from repro.store import ArtifactStore
 from repro.topology.registry import resolve_topology
 
 TOPO = "XGFT(2;4,4;1,4)"
@@ -241,33 +234,3 @@ class TestAsyncEndpoint:
         assert not bad["ok"] and "bad JSON" in bad["error"]
         assert stats["ok"]
 
-
-class TestBenchmark:
-    def test_run_and_gate(self, tmp_path):
-        results = run_benchmark(
-            topologies=(TOPO,),
-            algorithms=("d-mod-k", "random"),
-            store=ArtifactStore(tmp_path / "store"),
-            batch_size=1024,
-            repeats=1,
-            async_batches=2,
-            async_batch_size=256,
-        )
-        by_alg = {e["algorithm"]: e for e in results["entries"]}
-        assert by_alg["d-mod-k"]["encoding"] == "columnar"
-        assert by_alg["random"]["encoding"] == "prefix-dict"
-        assert all(e["verified"] for e in results["entries"])
-        assert all(e["compression"] >= 4.0 for e in results["entries"])
-        assert all(e["open_ms"] is not None for e in results["entries"])
-        passing = {
-            "require_verified": True,
-            "min_compression": {"d-mod-k": 4.0, "random": 4.0},
-            "min_batch_lookups_per_sec": 1,
-            "min_async_lookups_per_sec": 1,
-        }
-        assert check_baseline(results, passing) == []
-        failing = dict(passing, min_batch_lookups_per_sec=10**15)
-        assert any("below floor" in f for f in check_baseline(results, failing))
-
-    def test_empty_results_fail_gate(self):
-        assert check_baseline({"entries": []}, {}) == ["benchmark produced no entries"]

@@ -162,3 +162,43 @@ class TestPhaseDriverSelection:
                 np.asarray([0, 1, 1]),
             )
             assert sim.run_until_idle() == pytest.approx(4.0)
+
+
+class TestAtomicBatchAdmission:
+    """A rejected ``add_flows`` batch admits nothing, on every engine."""
+
+    @pytest.mark.parametrize("engine", fluid_engine_names())
+    @pytest.mark.parametrize(
+        "flow_ids, sizes, coo_link, match",
+        [
+            ([10, 11], [1.0, 1.0], [0, 7], "link 7 out of range"),
+            ([10, 10], [1.0, 1.0], [0, 1], "duplicate flow ids"),
+            ([10, 1], [1.0, 1.0], [0, 1], "already active"),
+            ([10, 11], [1.0, float("nan")], [0, 1], "finite"),
+            ([10, 11], [1.0, float("inf")], [0, 1], "finite"),
+            ([10, 11], [1.0, -1.0], [0, 1], "non-negative"),
+            ([10, 11], [1.0], [0, 1], "parallel"),
+        ],
+        ids=[
+            "link-range",
+            "duplicate-in-batch",
+            "already-active",
+            "nan",
+            "inf",
+            "negative",
+            "sizes-length",
+        ],
+    )
+    def test_rejected_batch_changes_nothing(
+        self, engine, flow_ids, sizes, coo_link, match
+    ):
+        sim = make_fluid_simulator(engine, 2, 1.0)
+        # one active flow (id 1) and one completed zero-size flow (id 2)
+        sim.add_flows([1, 2], [1.0, 0.0], [0, 1], [0, 1])
+        before = (sim.active_flows, list(sim.results))
+        with pytest.raises(ValueError, match=match):
+            sim.add_flows(flow_ids, sizes, [0, 1], coo_link)
+        assert (sim.active_flows, list(sim.results)) == before
+        # and the engine still runs what it had
+        sim.run_until_idle()
+        assert sorted(r.flow_id for r in sim.results) == [1, 2]
