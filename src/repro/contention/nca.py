@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..core.base import RoutingAlgorithm
 from ..patterns.decomposition import decompose_into_permutations
 from ..patterns.permutations import Permutation

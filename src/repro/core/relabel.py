@@ -27,7 +27,7 @@ digit extraction stays fully vectorized.
 
 from __future__ import annotations
 
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 

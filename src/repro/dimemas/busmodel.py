@@ -16,9 +16,8 @@ toolchain.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..sim.config import NetworkConfig, PAPER_CONFIG
 from .replay import TransferNetwork

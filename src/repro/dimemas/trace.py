@@ -23,7 +23,7 @@ diffed and stored — one record per line::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "Compute",

@@ -31,9 +31,7 @@ identically on them (Sec. VII-B/C).
 
 from __future__ import annotations
 
-import math
-
-from .base import Flow, Pattern, Phase
+from .base import Pattern, Phase
 from .permutations import Permutation
 
 __all__ = [

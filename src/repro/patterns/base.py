@@ -10,8 +10,8 @@ of phases, each a list of flows injected together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 

@@ -8,11 +8,8 @@ and the extra benchmarks.  All generators return
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .base import Pattern
 from .permutations import Permutation
 
 __all__ = [

@@ -7,7 +7,8 @@ in-memory) compact table:
   columns (mmap-friendly: a store-backed server never materializes the
   full table on the lookup path);
 * **what-if fault repair** — a query may carry a fault spec; the server
-  realizes the degraded fabric (cached per canonical spec), repairs
+  realizes the degraded fabric (cached per canonical spec, at most
+  :data:`WHAT_IF_CACHE_SIZE` of them), repairs
   exactly the queried routes copy-on-write via
   :func:`repro.faults.repair.repair_pairs`, and reports per-pair
   status — the stored artifact is never mutated;
@@ -28,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -46,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import DegradedTopology
 
 __all__ = [
+    "WHAT_IF_CACHE_SIZE",
     "RouteServer",
     "answer_line",
     "decode_error_response",
@@ -63,15 +66,19 @@ PROTOCOL_OPS = ("ping", "info", "stats", "metrics", "lookup", "batch")
 #: longer line is answered with an in-band error and skipped.
 STREAM_LIMIT = 16 * 1024 * 1024
 
+#: what-if fabrics one server keeps, least recently used first out
+WHAT_IF_CACHE_SIZE = 64
+
 
 class RouteServer:
     """Batch/async query API over one compact route table.
 
     Build one directly from a table, or with :meth:`from_store` (the
     common path: opens the artifact mmap-backed, building it on a miss).
-    Thread-compatible for concurrent reads: lookups only gather; the
-    lazily-built caches (degraded fabrics, decoded table for LFT export)
-    are monotonic.
+    Lookups only gather.  Two caches are built lazily: the what-if
+    fabrics, bounded at :data:`WHAT_IF_CACHE_SIZE` and evicted least
+    recently used first, and the decoded table, kept only by
+    :meth:`export_lfts`.
     """
 
     def __init__(
@@ -83,7 +90,7 @@ class RouteServer:
             table = table.to_compact()
         self.table = table
         self.key = key
-        self._degraded: dict[str, "DegradedTopology"] = {}
+        self._degraded: OrderedDict[str, "DegradedTopology"] = OrderedDict()
         self._decoded: "RouteTable | None" = None
         self._started = time.monotonic()
         self._obs_on = _obs_active()
@@ -172,24 +179,27 @@ class RouteServer:
         spec = parse_fault_spec(faults)
         canonical = spec.canonical()
         cached = self._degraded.get(canonical)
-        if cached is None:
-            table = self._full_table() if spec.needs_traffic else None
-            cached = DegradedTopology(
-                self.table.topo, spec.realize(self.table.topo, table=table)
-            )
-            self._degraded[canonical] = cached
+        if cached is not None:
+            self._degraded.move_to_end(canonical)
+            return cached
+        table = None
+        if spec.needs_traffic:
+            # the decoded table dwarfs the compact one: decode it for
+            # this realization only, unless LFT export already keeps it
+            table = self._decoded if self._decoded is not None else self.table.to_table()
+        cached = DegradedTopology(self.table.topo, spec.realize(self.table.topo, table=table))
+        self._degraded[canonical] = cached
+        if len(self._degraded) > WHAT_IF_CACHE_SIZE:
+            self._degraded.popitem(last=False)
         return cached
-
-    def _full_table(self) -> "RouteTable":
-        if self._decoded is None:
-            self._decoded = self.table.to_table()
-        return self._decoded
 
     def export_lfts(self) -> "ForwardingTables":
         """Per-switch LFTs of the served routes (destination-deterministic only)."""
         from ..core.forwarding import forwarding_tables_from_table
 
-        return forwarding_tables_from_table(self._full_table())
+        if self._decoded is None:
+            self._decoded = self.table.to_table()
+        return forwarding_tables_from_table(self._decoded)
 
     # ------------------------------------------------------------------
     # Introspection

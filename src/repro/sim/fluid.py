@@ -258,6 +258,15 @@ class FluidSimulator:
             self._recompute_rates()
         return {fid: fl.rate for fid, fl in self._flows.items()}
 
+    def link_rates(self) -> np.ndarray:
+        """Current load of every link: the sum of its active users' rates."""
+        if not self._rates_valid:
+            self._recompute_rates()
+        load = np.zeros(self.num_links, dtype=np.float64)
+        for fl in self._flows.values():
+            load[list(fl.links)] += fl.rate
+        return load
+
     # ------------------------------------------------------------------
     # Time advancement
     # ------------------------------------------------------------------

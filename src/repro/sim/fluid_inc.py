@@ -112,6 +112,7 @@ class IncFluidSimulator(BatchFluidEngine):
         **BatchFluidEngine._SLOTS,
         "_sync": np.float64,  # when _rem was last materialized
         "_gen": np.int64,  # live heap-entry generation
+        "_inside": bool,  # in the refilling component (False between refills)
     }
 
     def __init__(self, num_links: int, capacity: float | np.ndarray):
@@ -135,6 +136,10 @@ class IncFluidSimulator(BatchFluidEngine):
         self._n_links_used = 0
         # committed water levels: max user rate if saturated, else +inf
         self._W = np.full(num_links, np.inf, dtype=np.float64)
+        # global -> component-local link index of the component being
+        # filled; -1 for every real link between fills (the last entry
+        # is the pad link)
+        self._loc = np.full(num_links + 1, -1, dtype=np.int64)
 
         # lazy completion heap: (finish, slot, gen, slack)
         self._heap: list[tuple[float, int, int, float]] = []
@@ -289,24 +294,29 @@ class IncFluidSimulator(BatchFluidEngine):
         saturated link (the exact reason the certificate failed) — for
         the caller to pull in and retry; an empty set means no blocker
         was identified and a full refill is the only recovery.
+
+        All work is sized by the component: its links are relabelled
+        ``0..k-1`` in sorted order (the pad link becomes ``k``), so the
+        fill and every check run on length-``k`` arrays.  The relabel
+        keeps link order and entry order, so each per-link sum adds the
+        same floats in the same order as over the global index.
         """
         nl = self.num_links
         cl = np.fromiter(cl_set, np.int64, len(cl_set))
         cl.sort()
+        cl_links = cl.tolist()
+        k = len(cl_links)
+        ins = np.fromiter(ins_set, np.int64, len(ins_set))
+        ins.sort()
+        inside = self._inside
+        inside[ins] = True
         # background: outside users of component links are fixed
         # consumption, subtracted from capacity before the local fill
-        inside = np.zeros(self._n, dtype=bool)
-        ins = np.fromiter(ins_set, np.int64, len(ins_set)) if ins_set else (
-            np.empty(0, dtype=np.int64)
-        )
-        ins.sort()
-        inside[ins] = True
         rate = self._rate
         users = self._users
-        k = len(cl)
         bg_sum = np.zeros(k, dtype=np.float64)
         bg_max = np.zeros(k, dtype=np.float64)
-        for i, l in enumerate(cl.tolist()):
+        for i, l in enumerate(cl_links):
             ssum = 0.0
             smax = 0.0
             for s in users[l]:
@@ -317,33 +327,35 @@ class IncFluidSimulator(BatchFluidEngine):
                         smax = r
             bg_sum[i] = ssum
             bg_max[i] = smax
-        cap_vec = self.capacity.copy()
-        cap_vec[cl] -= bg_sum
-        np.maximum(cap_vec, 0.0, out=cap_vec)
-        if len(ins) == 0:
+        cap = self.capacity[cl]
+        resid = cap - bg_sum
+        np.maximum(resid, 0.0, out=resid)
+        if not len(ins):
             # departure-only component with no at-level survivors: the
             # links merely gained slack; refresh their levels in place
-            resid = cap_vec[cl]
-            sat = resid <= _SAT_REL * self.capacity[cl]
-            has_bg = bg_max > 0.0
-            self._W[cl] = np.where(sat & has_bg, bg_max, np.inf)
+            sat = resid <= _SAT_REL * cap
+            self._W[cl] = np.where(sat & (bg_max > 0.0), bg_max, np.inf)
             return True
-        lm = self._lm[ins]
-        fill = self._fill(lm, cap_vec)
+        loc = self._loc
+        loc[cl] = np.arange(k, dtype=np.int64)
+        loc[nl] = k
+        lm = loc[self._lm[ins]]
+        loc[cl] = -1
+        fill = self._fill(lm, resid)
         rates_new, e_l = fill.rates, fill.e_l
         entry_rate = rates_new[fill.e_f]
-        cons = np.bincount(e_l, weights=entry_rate, minlength=nl)
-        maxu = np.zeros(nl, dtype=np.float64)
+        cons = np.bincount(e_l, weights=entry_rate, minlength=k)
+        maxu = np.zeros(k, dtype=np.float64)
         np.maximum.at(maxu, e_l, entry_rate)
-        resid_cl = cap_vec[cl] - cons[cl]
-        sat_cl = resid_cl <= _SAT_REL * self.capacity[cl]
-        maxu_cl = np.maximum(maxu[cl], bg_max)
+        # per component link, then the pad link: never saturated, no users
+        sat_ext = np.zeros(k + 1, dtype=bool)
+        sat_cl = sat_ext[:k]
+        np.less_equal(resid - cons, _SAT_REL * cap, out=sat_cl)
+        mx_ext = np.zeros(k + 1, dtype=np.float64)
+        maxu_cl = mx_ext[:k]
+        np.maximum(maxu, bg_max, out=maxu_cl)
         # bottleneck certificates for every refilled flow: a saturated
         # path link where the flow's rate is (within slack) maximal
-        sat_ext = np.zeros(nl + 1, dtype=bool)
-        sat_ext[cl] = sat_cl
-        mx_ext = np.zeros(nl + 1, dtype=np.float64)
-        mx_ext[cl] = maxu_cl
         ok = (
             sat_ext[lm] & (rates_new[:, None] >= mx_ext[lm] * (1.0 - _CERT_REL) - _EPS)
         ).any(axis=1)
@@ -352,16 +364,17 @@ class IncFluidSimulator(BatchFluidEngine):
             # background users strictly above the inside maximum (they
             # are what pushed mx_ext past the refilled rates)
             bad = lm[~ok].ravel()
-            bad_links = np.unique(bad[bad < nl])
             extra: set[int] = set()
-            for l in bad_links.tolist():
-                lvl = maxu[l]
-                if bg_max[int(np.searchsorted(cl, l))] <= lvl:
-                    continue  # an inside flow is maximal here; not l
-                for s in users[l]:
+            for i in np.unique(bad[bad < k]).tolist():
+                lvl = maxu[i]
+                if bg_max[i] <= lvl:
+                    continue  # an inside flow is maximal here; not this link
+                for s in users[cl_links[i]]:
                     if not inside[s] and rate[s] > lvl:
                         extra.add(s)
+            inside[ins] = False
             return extra
+        inside[ins] = False
         self._W[cl] = np.where(sat_cl, maxu_cl, np.inf)
         self._commit(ins, rates_new)
         return True

@@ -31,8 +31,8 @@ shrinking unfrozen set and total compaction cost stays O(nnz).
 :class:`BatchFluidEngine` is what the two engines share around the
 kernel: the capacity check, append-only struct-of-arrays flow slots
 with their link-matrix rows, batch ingest (``add_flows`` validation,
-duplicate-link collapse, zero-size completion), ``rates``, the
-``advance_to`` guards and ``run_until_idle``.
+duplicate-link collapse, zero-size completion), ``rates`` and
+``link_rates``, the ``advance_to`` guards and ``run_until_idle``.
 """
 
 from __future__ import annotations
@@ -375,6 +375,20 @@ class BatchFluidEngine:
         self._ensure_rates()
         slots = np.nonzero(self._act[: self._n])[0]
         return dict(zip(self._fid[slots].tolist(), self._rate[slots].tolist()))
+
+    def link_rates(self) -> np.ndarray:
+        """Current load of every link: the sum of its active users' rates.
+
+        One weighted ``np.bincount`` over the active slots' link-matrix
+        rows, in slot order, so each link's sum runs from 0.0 in the
+        order of :meth:`rates` — the same floats as a per-flow loop.
+        """
+        self._ensure_rates()
+        slots = np.nonzero(self._act[: self._n])[0]
+        lm = self._lm[slots]
+        weights = np.repeat(self._rate[slots], lm.shape[1])
+        nl = self.num_links
+        return np.bincount(lm.ravel(), weights=weights, minlength=nl + 1)[:nl]
 
     def telemetry(self) -> dict:
         """Per-engine fill telemetry (all counters monotone).

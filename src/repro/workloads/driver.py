@@ -5,7 +5,8 @@ with the completion stream of any registered fluid-kind engine
 (:data:`repro.sim.engines.ENGINES`), using exactly the incremental
 surface both engines already expose: ``advance_to`` up to the next
 arrival instant, ``advance_to_next_completion`` when a completion comes
-first, and batch ``add_flows`` for every arrival batch.  Routes are
+first, batch ``add_flows`` for every arrival batch, and
+``link_rates`` for the utilization samples.  Routes are
 installed *before* the traffic exists — the all-pairs table of an
 oblivious scheme answers every arrival by row lookup, which is the
 operational meaning of obliviousness under churn (Räcke & Schmid,
@@ -72,6 +73,9 @@ class DriverStats:
     completion harvest or an arrival batch.  The ``*_s`` timers
     partition the run's wall time by phase (routing time is a subset of
     arrival time — table lookup happens inside the arrival phase).
+    ``refill_s`` times the ``next_completion_time()`` call that opens
+    every event, where both vectorized engines refill; a refill that a
+    kept utilization snapshot forces first counts as snapshot time.
     ``engine`` is the engine's :meth:`telemetry()
     <repro.sim.fluid.FluidSimulator.telemetry>` dict (recomputes,
     fill_rounds, frozen_links, compactions, active_flows_hwm; the
@@ -91,6 +95,7 @@ class DriverStats:
     completions_s: float
     route_s: float
     snapshot_s: float
+    refill_s: float
     engine: dict
 
     def to_dict(self) -> dict:
@@ -104,6 +109,7 @@ class DriverStats:
             "completions_s": round(self.completions_s, 6),
             "route_s": round(self.route_s, 6),
             "snapshot_s": round(self.snapshot_s, 6),
+            "refill_s": round(self.refill_s, 6),
             "engine": dict(self.engine),
         }
 
@@ -344,7 +350,6 @@ class DynamicDriver:
         fct = OnlineStat(self.fct_reservoir, seed=self.sample_seed)
         slow = OnlineStat(self.fct_reservoir, seed=self.sample_seed + 1)
         util = UtilSeries(self.util_capacity, seed=self.sample_seed + 2)
-        links_of: dict[int, np.ndarray] = {}
         bandwidth = self.config.link_bandwidth
         capacity = np.full(self.space.num_links, bandwidth)
 
@@ -352,16 +357,13 @@ class DynamicDriver:
         offered_bytes = delivered_bytes = 0.0
 
         def snapshot() -> UtilSample:
-            link_rate = np.zeros(self.space.num_links)
-            rates = sim.rates()
-            for fid, rate in rates.items():
-                link_rate[links_of[fid]] += rate
+            link_rate = sim.link_rates()
             busy = link_rate > 0
             n_busy = int(busy.sum())
             utilization = link_rate / capacity
             return UtilSample(
                 time=sim.now,
-                active_flows=len(rates),
+                active_flows=sim.active_flows,
                 max_util=float(utilization.max()) if n_busy else 0.0,
                 mean_busy_util=float(utilization[busy].mean()) if n_busy else 0.0,
                 busy_fraction=n_busy / self.space.num_links,
@@ -379,7 +381,6 @@ class DynamicDriver:
                 # fabrics, so their slowdown is 1.0 by convention
                 ideal = res.size / bandwidth
                 slow.add(duration / ideal if ideal > 0 else 1.0)
-                links_of.pop(res.flow_id, None)
 
         times = stream.times
         n = len(stream)
@@ -392,11 +393,13 @@ class DynamicDriver:
         tracing = self._obs_on and TRACER.enabled
         span = TRACER.span if tracing else None
         events = arrival_batches = completion_events = 0
-        completions_s = arrivals_s = snapshot_s = 0.0
+        completions_s = arrivals_s = snapshot_s = refill_s = 0.0
         self._route_s = 0.0
         for _ in range(max_events):
             t_arr = times[i] if i < n else None
+            t_phase = perf()
             nc = sim.next_completion_time()
+            refill_s += perf() - t_phase
             if t_arr is None and nc is None:
                 break
             events += 1
@@ -414,9 +417,7 @@ class DynamicDriver:
                     if arr_span is not None:
                         arr_span.set("batch", j - i)
                     instant_base = len(sim.results)
-                    batch_self, batch_rejected, batch_bytes = self._inject(
-                        sim, stream, i, j, links_of
-                    )
+                    batch_self, batch_rejected, batch_bytes = self._inject(sim, stream, i, j)
                     num_self += batch_self
                     num_rejected += batch_rejected
                     offered_bytes += batch_bytes
@@ -446,6 +447,7 @@ class DynamicDriver:
             completions_s=completions_s,
             route_s=self._route_s,
             snapshot_s=snapshot_s,
+            refill_s=refill_s,
             engine=engine_tel,
         )
         if self._obs_on:
@@ -488,14 +490,7 @@ class DynamicDriver:
             stats=stats,
         )
 
-    def _inject(
-        self,
-        sim,
-        stream: ArrivalStream,
-        i: int,
-        j: int,
-        links_of: dict[int, np.ndarray],
-    ) -> tuple[int, int, float]:
+    def _inject(self, sim, stream: ArrivalStream, i: int, j: int) -> tuple[int, int, float]:
         """Route and add arrivals ``[i, j)`` at the engine's clock.
 
         Returns ``(num_self, num_rejected, offered_bytes)`` for the
@@ -518,11 +513,5 @@ class DynamicDriver:
         if not len(ids):
             return n_self, n_rejected, offered
         coo_flow, coo_link = flow_incidence(table, self.space)
-        # per-flow link arrays for the utilization snapshots
-        order = np.argsort(coo_flow, kind="stable")
-        counts = np.bincount(coo_flow, minlength=len(ids))
-        bounds = np.cumsum(counts)[:-1]
-        for fid, arr in zip(ids.tolist(), np.split(coo_link[order], bounds)):
-            links_of[fid] = arr
         sim.add_flows(ids, sizes, coo_flow, coo_link)
         return n_self, n_rejected, offered

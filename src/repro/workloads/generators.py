@@ -30,7 +30,7 @@ import numpy as np
 
 from ..registry import Registry, format_spec, parse_spec
 from ..sim.config import PAPER_CONFIG
-from .sizes import DEFAULT_MEAN_SIZE, SizeDist, resolve_size_dist
+from .sizes import SizeDist, resolve_size_dist
 from .stream import ArrivalStream
 from .traceio import read_trace
 

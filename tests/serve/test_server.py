@@ -11,6 +11,7 @@ import pytest
 from repro.core.factory import make_algorithm
 from repro.core.forwarding import build_forwarding_tables
 from repro.faults import (
+    PAIR_DISCONNECTED,
     PAIR_INTACT,
     DegradedTopology,
     UnreachablePairError,
@@ -18,7 +19,7 @@ from repro.faults import (
     repair_table,
 )
 from repro.serve import RouteServer, handle_request, serve_forever
-from repro.serve.server import STREAM_LIMIT
+from repro.serve.server import STREAM_LIMIT, WHAT_IF_CACHE_SIZE
 from repro.topology.registry import resolve_topology
 
 TOPO = "XGFT(2;4,4;1,4)"
@@ -97,6 +98,37 @@ class TestWhatIf:
         server.batch_lookup([0], [5], faults="links:count=2,seed=1")
         server.batch_lookup([0], [6], faults="links:seed=1,count=2")
         assert server.stats()["what_if_fabrics"] == 1
+
+    @staticmethod
+    def _assert_matches_repair_table(server, table, faults):
+        topo = table.topo
+        degraded = DegradedTopology(topo, parse_fault_spec(faults).realize(topo, table=table))
+        repaired = repair_table(table, degraded, seed=0)
+        keep = ~repaired.disconnected
+        _, ports, status = server.batch_lookup(table.src, table.dst, faults=faults)
+        assert np.array_equal(ports[keep], repaired.table.ports)
+        assert (status[~keep] == PAIR_DISCONNECTED).all()
+
+    def test_fabric_cache_is_lru_bounded(self, server):
+        table = make_algorithm("d-mod-k", resolve_topology(TOPO)).all_pairs_table()
+        hot = "links:count=1,seed=0"
+        for i in range(2 * WHAT_IF_CACHE_SIZE):
+            server.batch_lookup([0], [5], faults=f"links:count=1,seed={i}")
+            server.batch_lookup([0], [5], faults=hot)  # recently used: kept
+            assert server.stats()["what_if_fabrics"] == min(i + 1, WHAT_IF_CACHE_SIZE)
+        assert parse_fault_spec(hot).canonical() in server._degraded
+        assert parse_fault_spec("links:count=1,seed=1").canonical() not in server._degraded
+        # evicted, recent and fresh specs all answer as a persisted repair
+        for i in (1, 2 * WHAT_IF_CACHE_SIZE - 1, 2 * WHAT_IF_CACHE_SIZE):
+            self._assert_matches_repair_table(server, table, f"links:count=1,seed={i}")
+        assert server.stats()["what_if_fabrics"] == WHAT_IF_CACHE_SIZE
+
+    def test_traffic_dependent_spec_keeps_no_decoded_table(self, server):
+        table = make_algorithm("d-mod-k", resolve_topology(TOPO)).all_pairs_table()
+        self._assert_matches_repair_table(server, table, "worst-links:count=1")
+        assert server._decoded is None
+        server.export_lfts()
+        assert server._decoded is not None
 
 
 class TestLftExport:

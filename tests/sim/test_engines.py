@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import FluidSimulator, VecFluidSimulator
 from repro.sim.engines import (
@@ -202,3 +204,59 @@ class TestAtomicBatchAdmission:
         # and the engine still runs what it had
         sim.run_until_idle()
         assert sorted(r.flow_id for r in sim.results) == [1, 2]
+
+
+def per_flow_link_rates(sim, links_of: dict[int, np.ndarray]) -> np.ndarray:
+    """The reference for ``link_rates()``: a Python loop over the
+    ``rates()`` dict, adding each flow's rate to each of its links."""
+    load = np.zeros(sim.num_links)
+    for fid, rate in sim.rates().items():
+        load[links_of[fid]] += rate
+    return load
+
+
+class TestLinkRates:
+    """``link_rates()`` is the per-flow loop's result, float for float."""
+
+    @pytest.mark.parametrize("engine", fluid_engine_names())
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_links=st.integers(1, 12),
+        num_flows=st.integers(1, 30),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_per_flow_loop(self, engine, seed, num_links, num_flows):
+        rng = np.random.default_rng(seed)
+        sim = make_fluid_simulator(engine, num_links, rng.uniform(0.5, 3.0, num_links))
+        links_of: dict[int, np.ndarray] = {}
+
+        def check():
+            assert np.array_equal(sim.link_rates(), per_flow_link_rates(sim, links_of))
+
+        fid = 0
+        t = 0.0
+        while fid < num_flows:
+            # completions up to the next arrival instant, checked at each
+            t += float(rng.exponential(1.0))
+            nc = sim.next_completion_time()
+            while nc is not None and nc <= t:
+                sim.advance_to_next_completion()
+                check()
+                nc = sim.next_completion_time()
+            sim.advance_to(t)
+            # a batch of 1-3 arrivals, some of zero size
+            batch = range(fid, min(fid + int(rng.integers(1, 4)), num_flows))
+            sizes, coo_flow, coo_link = [], [], []
+            for i, f in enumerate(batch):
+                links = rng.choice(num_links, size=int(rng.integers(1, num_links + 1)), replace=False)
+                links_of[f] = links
+                sizes.append(0.0 if rng.random() < 0.2 else float(rng.uniform(0.5, 5.0)))
+                coo_flow += [i] * len(links)
+                coo_link += links.tolist()
+            sim.add_flows(list(batch), sizes, np.asarray(coo_flow), np.asarray(coo_link))
+            fid = batch.stop
+            check()
+        while sim.active_flows:
+            sim.advance_to_next_completion()
+            check()
+        assert not sim.link_rates().any()

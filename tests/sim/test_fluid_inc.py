@@ -26,18 +26,31 @@ from repro.sim import FluidSimulator, IncFluidSimulator, VecFluidSimulator
 
 REL = 1e-9
 
+#: the link space is this many times the links the flows use: the rest
+#: are idle, so every refill component is at most a tenth of the space
+#: and the component-local relabel maps a sparse, scattered link set
+PAD = 10
+
 
 def _random_instance(seed: int, num_links: int, num_flows: int, zero_frac: float = 0.1):
-    """A deterministic random workload: (capacities, [(fid, links, size)])."""
+    """A deterministic random workload: (capacities, [(fid, links, size)]).
+
+    The flows use ``num_links`` links scattered over ``PAD * num_links``;
+    size engines with ``len(capacities)``.
+    """
     rng = np.random.default_rng(seed)
-    caps = rng.uniform(0.5, 3.0, num_links)
+    used_caps = rng.uniform(0.5, 3.0, num_links)
     flows = []
     for f in range(num_flows):
         k = int(rng.integers(1, num_links + 1))
-        links = rng.choice(num_links, size=k, replace=False).tolist()
+        links = rng.choice(num_links, size=k, replace=False)
         size = float(rng.uniform(0.5, 5.0)) if rng.random() >= zero_frac else 0.0
         flows.append((f, links, size))
-    return caps, flows
+    pad_rng = np.random.default_rng([seed, PAD])
+    caps = pad_rng.uniform(0.5, 3.0, PAD * num_links)
+    used = pad_rng.permutation(PAD * num_links)[:num_links]
+    caps[used] = used_caps
+    return caps, [(f, used[links].tolist(), size) for f, links, size in flows]
 
 
 def _random_stream(
@@ -187,7 +200,7 @@ class TestDropInParity:
         """One refill per epoch, exactly like the from-scratch engines —
         incrementality changes the work per refill, not the schedule."""
         caps, arrivals = _random_stream(5, 4, 25, zero_frac=0.0)
-        a, b = VecFluidSimulator(4, caps), IncFluidSimulator(4, caps)
+        a, b = VecFluidSimulator(len(caps), caps), IncFluidSimulator(len(caps), caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
         assert b.recomputes <= a.recomputes
@@ -215,7 +228,7 @@ class TestAdversarial:
 
     def test_zero_size_flows_in_epochs(self):
         caps, arrivals = _random_stream(17, 5, 30, zero_frac=0.5, quantum=0.5)
-        a, b = VecFluidSimulator(5, caps), IncFluidSimulator(5, caps)
+        a, b = VecFluidSimulator(len(caps), caps), IncFluidSimulator(len(caps), caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
         _assert_same_results(a, b)
@@ -263,7 +276,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_static_rates_match_scalar(self, num_links, num_flows, seed):
         caps, flows = _random_instance(seed, num_links, num_flows)
-        a, b = FluidSimulator(num_links, caps), IncFluidSimulator(num_links, caps)
+        a, b = FluidSimulator(len(caps), caps), IncFluidSimulator(len(caps), caps)
         for fid, links, size in flows:
             a.add_flow(fid, links, size)
             b.add_flow(fid, links, size)
@@ -280,8 +293,8 @@ class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_dynamic_fct_multiset_matches_vec(self, num_links, num_flows, seed):
         caps, arrivals = _random_stream(seed, num_links, num_flows)
-        a = VecFluidSimulator(num_links, caps)
-        b = IncFluidSimulator(num_links, caps)
+        a = VecFluidSimulator(len(caps), caps)
+        b = IncFluidSimulator(len(caps), caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
         _assert_same_results(a, b)
@@ -297,8 +310,8 @@ class TestPropertyEquivalence:
         """Quantized arrival instants force multi-flow epochs and
         completion/arrival collisions at one timestamp."""
         caps, arrivals = _random_stream(seed, num_links, num_flows, quantum=quantum)
-        a = VecFluidSimulator(num_links, caps)
-        b = IncFluidSimulator(num_links, caps)
+        a = VecFluidSimulator(len(caps), caps)
+        b = IncFluidSimulator(len(caps), caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
         assert b.now == pytest.approx(a.now, rel=REL, abs=1e-12)
@@ -312,7 +325,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_water_levels_consistent_mid_run(self, num_links, num_flows, seed):
         caps, arrivals = _random_stream(seed, num_links, num_flows, zero_frac=0.0)
-        sim = IncFluidSimulator(num_links, caps)
+        sim = IncFluidSimulator(len(caps), caps)
         # inject the first half, drain one event, audit the levels
         for t, fid, links, size in arrivals[: max(1, num_flows // 2)]:
             nc = sim.next_completion_time() if sim.active_flows else None
@@ -329,7 +342,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_telemetry_contract(self, seed):
         caps, arrivals = _random_stream(seed, 5, 25)
-        sim = IncFluidSimulator(5, caps)
+        sim = IncFluidSimulator(len(caps), caps)
         _drive(sim, arrivals)
         tel = sim.telemetry()
         assert tel["partial_refills"] + tel["full_refills"] == tel["recomputes"]
@@ -337,7 +350,7 @@ class TestPropertyEquivalence:
         assert tel["links_touched"] <= tel["links_active"]
         assert tel["flows_touched"] <= tel["flows_active"]
         assert tel["mutation_events"] >= tel["recomputes"]
-        assert tel["component_size_hwm"] <= sim.num_links
+        assert tel["component_size_hwm"] <= sim.num_links // PAD
 
 
 class TestDriverEquivalence:

@@ -274,6 +274,22 @@ class TestDriverStats:
         # routing happens inside the arrival phase
         assert stats.route_s <= stats.arrivals_s + 1e-9
 
+    @pytest.mark.parametrize("engine", ["fluid-vec", "fluid-vec-inc"])
+    def test_refill_is_its_own_phase(self, engine):
+        """On a churned stream the loop-head refill gets its own timer:
+        every timer is non-negative, the refill's is positive, and the
+        four disjoint phases fit inside the run's wall time."""
+        wl = resolve_workload("poisson(load=0.9,flows=300)", TOPO.num_leaves)
+        stats = _run(engine, wl.generate(seed=5)).stats
+        timers = (
+            stats.arrivals_s, stats.completions_s, stats.route_s, stats.snapshot_s, stats.refill_s
+        )
+        assert all(t >= 0.0 for t in timers)
+        assert stats.refill_s > 0.0
+        phases = stats.arrivals_s + stats.completions_s + stats.snapshot_s + stats.refill_s
+        assert phases <= stats.wall_time_s
+        assert stats.to_dict()["refill_s"] == round(stats.refill_s, 6)
+
     def test_engine_telemetry_embedded(self):
         wl = resolve_workload("poisson(load=0.5,flows=120)", TOPO.num_leaves)
         for engine in ("fluid", "fluid-vec"):
