@@ -13,7 +13,7 @@
     repro eval --topology "xgft:2;16,16;1,8" --pattern bit-reversal \\
                --algorithms d-mod-k "r-nca-d" --faults "links:rate=0.05"
     repro sweep --jobs 4 -o sweep_results.json
-    repro sweep --spec benchmarks/smoke_spec.json --baseline benchmarks/baseline_smoke.json
+    repro sweep --spec benchmarks/smoke_spec.json -o sweep_results.json
     repro sweep --faults none "links:rate=0.05" --patterns shift-1
     repro sweep --store ./store          # persist tables as serve artifacts
     repro serve --topology "XGFT(2;16,16;1,8)" --algorithm d-mod-k --store ./store
@@ -25,10 +25,8 @@
     repro dynamic --loads 0.2 0.5 0.8 --algorithms d-mod-k s-mod-k random
     repro profile --workload "poisson(load=0.5)" -o profile
     repro profile --overhead-check --spec benchmarks/smoke_spec.json
-    repro graphs --preset smoke --baseline benchmarks/baseline_graph.json
-    repro graphs --preset full -o BENCH_graph.json
     repro store gc --max-bytes 256M --dry-run
-    repro dynamic --workload "poisson(load=0.5)" --trace   # any of the four
+    repro dynamic --workload "poisson(load=0.5)" --trace   # any of the three
                                                            # hot commands
 
 ``dynamic`` drives open-loop arrival streams (Poisson, bursty ON/OFF,
@@ -41,8 +39,9 @@ cross-algorithm comparison table; every axis is a registry spec string
 (:mod:`repro.registry`).  The ``sweep`` subcommand runs a declarative
 {topology x pattern x algorithm x seed x faults} grid through
 :mod:`repro.experiments.sweep` — by default the paper's full Fig. 2-5
-evaluation grid — and writes the schema-versioned JSON artifact CI
-regression-gates on.  ``faults`` sweeps failure rates over a degraded
+evaluation grid — and writes the schema-versioned JSON artifact;
+``compare`` diffs two such artifacts and is the one regression gate
+(nonzero exit on regression).  ``faults`` sweeps failure rates over a degraded
 topology with local route repair (:mod:`repro.faults`) and reports
 slowdown and flow-loss curves.
 
@@ -123,20 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="record a span trace and write PREFIX.trace.jsonl + "
             f"PREFIX.perfetto.json on exit (default prefix: {default_prefix}; "
             "$REPRO_TRACE=<prefix> does the same for any command)",
-        )
-
-    def add_regression_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--baseline",
-            type=Path,
-            default=None,
-            help="prior artifact to regression-compare against (nonzero exit on regression)",
-        )
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=0.05,
-            help="relative regression tolerance for --baseline",
         )
 
     def add_sweep_args(p: argparse.ArgumentParser, default_seeds: int) -> None:
@@ -256,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fnmatch/substring filter on run ids ('topology/pattern/algorithm@seed')",
     )
     ps.add_argument("--output", "-o", type=Path, default=Path("sweep_results.json"))
-    add_regression_args(ps)
     ps.add_argument(
         "--max-rows", type=int, default=40, help="run rows to print (artifact always holds all)"
     )
@@ -372,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument(
         "--output", "-o", type=Path, default=None, help="also write the sweep artifact JSON"
     )
-    add_regression_args(pd)
     add_trace_arg(pd, "repro_dynamic")
 
     pv2 = sub.add_parser(
@@ -464,30 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.02,
         help="(--overhead-check) maximum tolerated relative overhead",
     )
-
-    pg = sub.add_parser(
-        "graphs",
-        help="general-graph routing benchmark: random-walk and racke-tree "
-        "over {fat tree, failed leaf-spine, random-regular}, plus the "
-        "d-mod-k bridge on the shared fat tree (BENCH_graph.json)",
-    )
-    pg.add_argument(
-        "--preset",
-        choices=("smoke", "full"),
-        default="smoke",
-        help="grid preset: 'smoke' (CI, 64 hosts) or 'full' (the "
-        "committed BENCH_graph.json trajectory, 256 hosts)",
-    )
-    pg.add_argument("--engine", choices=fluid_engine_names(), default=DEFAULT_ENGINE)
-    pg.add_argument("--jobs", "-j", type=int, default=1)
-    pg.add_argument(
-        "--max-rows", type=int, default=60, help="result table rows to print"
-    )
-    pg.add_argument(
-        "--output", "-o", type=Path, default=None, help="write the sweep artifact JSON"
-    )
-    add_regression_args(pg)
-    add_trace_arg(pg, "repro_graphs")
 
     pl = sub.add_parser(
         "lint",
@@ -600,17 +559,6 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> experiments.SweepSpec:
     return experiments.SweepSpec.from_dict(grid)
 
 
-def _baseline_gate(args: argparse.Namespace, result) -> int:
-    """Exit code of the ``--baseline`` regression gate (0 without one)."""
-    if args.baseline is None:
-        return 0
-    comparison = experiments.sweep_compare(
-        experiments.load_artifact(args.baseline), result.to_dict(), rel_tol=args.tolerance
-    )
-    print(experiments.format_sweep_compare(comparison))
-    return 0 if comparison.ok else 1
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec_from_args(args)
     result = experiments.run_sweep(
@@ -631,7 +579,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{cache.get('table_hits', 0)} reused{store_note})"
     )
     print(f"artifact written to {path}")
-    return _baseline_gate(args, result)
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -769,7 +717,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     if args.output is not None:
         path = experiments.write_artifact(result, args.output)
         print(f"artifact written to {path}")
-    return _baseline_gate(args, result)
+    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -829,21 +777,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"\n{counters}")
     print(f"trace written to {jsonl_path} and {perfetto_path}")
     return 0
-
-
-def _cmd_graphs(args: argparse.Namespace) -> int:
-    from .graphs.bench import run_graph_bench
-
-    result = run_graph_bench(args.preset, engine=args.engine, jobs=args.jobs)
-    print(experiments.format_sweep_results(result, max_rows=args.max_rows))
-    print(
-        f"\n{len(result.runs)} runs in {result.total_wall_time_s:.1f}s "
-        f"(preset={args.preset}, engine={args.engine}, jobs={args.jobs})"
-    )
-    if args.output is not None:
-        path = experiments.write_artifact(result, args.output)
-        print(f"artifact written to {path}")
-    return _baseline_gate(args, result)
 
 
 def _parse_bytes(text: str) -> int:
@@ -915,7 +848,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(args.log_level)
-    # --trace PREFIX (sweep/dynamic/serve/graphs) or $REPRO_TRACE=<prefix>
+    # --trace PREFIX (sweep/dynamic/serve) or $REPRO_TRACE=<prefix>
     # wraps any command; `profile` drives the tracer itself.
     trace_prefix = getattr(args, "trace", None)
     if trace_prefix is None:
@@ -968,8 +901,6 @@ def _run(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     elif args.command == "compare":
         return _cmd_compare(args)
-    elif args.command == "graphs":
-        return _cmd_graphs(args)
     elif args.command == "lint":
         return _cmd_lint(args)
     elif args.command == "store":

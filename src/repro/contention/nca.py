@@ -8,7 +8,9 @@ distribution as routing ``P^{-1}`` with D-mod-k.  Section VII-C extends
 the argument to general patterns through their permutation
 decomposition.  The functions here compute the quantities those
 experiments need; the theorem itself is asserted exactly by the tests
-and demonstrated statistically by ``benchmarks/bench_equivalence.py``.
+(``tests/contention/test_nca.py``, and on the paper's slimmed tree in
+``tests/experiments/test_figures.py``), and ``repro equivalence``
+demonstrates it statistically over random permutations.
 """
 
 from __future__ import annotations

@@ -17,27 +17,15 @@ registered backend (:data:`repro.sim.engines.ENGINES`):
 from __future__ import annotations
 
 from ..core.factory import make_algorithm
+from ..metrics import crossbar_reference as crossbar_time
+from ..metrics import slowdown_ratio
 from ..patterns.base import Pattern
 from ..sim.config import NetworkConfig, PAPER_CONFIG
 from ..sim.engines import DEFAULT_ENGINE, is_fluid_engine
-from ..sim.network import crossbar_pattern_time, simulate_pattern_fluid
+from ..sim.network import simulate_pattern_fluid
 from ..topology import XGFT
 
 __all__ = ["slowdown", "crossbar_time"]
-
-
-def crossbar_time(
-    pattern: Pattern,
-    num_leaves: int,
-    config: NetworkConfig = PAPER_CONFIG,
-    engine: str = DEFAULT_ENGINE,
-) -> float:
-    """Full-Crossbar reference time for a pattern."""
-    if is_fluid_engine(engine):
-        return crossbar_pattern_time(pattern, num_leaves, config, engine=engine)
-    from ..dimemas import pattern_trace, replay_on_crossbar
-
-    return replay_on_crossbar(pattern_trace(pattern), num_leaves, config).total_time
 
 
 def slowdown(
@@ -52,8 +40,11 @@ def slowdown(
 ) -> float:
     """Slowdown of ``pattern`` on ``topo`` under an algorithm vs crossbar.
 
-    ``reference_time`` short-circuits the crossbar run when the caller
-    sweeps many topologies/algorithms over one pattern.
+    ``reference_time`` short-circuits the crossbar run (``crossbar_time``,
+    the metric layer's :func:`~repro.metrics.crossbar_reference`) when
+    the caller sweeps many topologies/algorithms over one pattern.  The
+    ratio follows :func:`~repro.metrics.slowdown_ratio`, as the
+    ``slowdown`` metric does.
     """
     algorithm = make_algorithm(algorithm_name, topo, seed=seed, **algorithm_kwargs)
     if is_fluid_engine(engine):
@@ -73,14 +64,4 @@ def slowdown(
         if reference_time is not None
         else crossbar_time(pattern, topo.num_leaves, config, engine)
     )
-    if t_ref <= 0:
-        # a degenerate pattern whose flows all move zero network bytes
-        # (self-pairs, zero sizes) drains instantly on both fabrics
-        # (t_net == t_ref == 0): slowdown is 1.0 by convention — no
-        # bytes moved, so no contention was added.  A pattern with no
-        # flows at all, or a zero reference against a positive network
-        # time, is still a caller error, never a silent inf/nan
-        if t_net <= 0 and any(phase.flows for phase in pattern.phases):
-            return 1.0
-        raise ValueError("reference time must be positive (empty pattern?)")
-    return t_net / t_ref
+    return slowdown_ratio(t_net, t_ref, pattern)

@@ -39,7 +39,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from ..obs.trace import TRACER, aggregate_spans, merge_span_aggregates
 from ..patterns.registry import resolve_pattern
 from ..registry import parse_spec
 from ..sim.engines import DEFAULT_ENGINE, resolve_engine
-from ..topology import slimmed_two_level
 from ..topology.registry import resolve_topology
 from ..workloads import DYNAMIC_METRICS, WORKLOADS, resolve_workload
 
@@ -79,11 +78,9 @@ __all__ = [
     "subset_table",
     "write_artifact",
     "load_artifact",
-    "figure_grid_spec",
     "fault_grid_spec",
     "dynamic_grid_spec",
     "DYNAMIC_METRICS",
-    "sweep_to_figure",
 ]
 
 #: version stamp of the JSON artifact layout (docs/sweep_schema.md);
@@ -519,61 +516,8 @@ def load_artifact(path: str | Path) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Figure grids (the paper's evaluation as sweep specs)
+# Grid builders for the CLI's failure-rate and dynamic commands
 # ----------------------------------------------------------------------
-def _slimming_topologies(w2_values: Iterable[int]) -> tuple[str, ...]:
-    return tuple(slimmed_two_level(16, 16, w2).spec() for w2 in w2_values)
-
-
-def figure_grid_spec(
-    figure: str,
-    app: str | None = None,
-    w2_values: Sequence[int] | None = None,
-    seeds: int = 5,
-) -> SweepSpec:
-    """The paper's Fig. 2/4/5 evaluation grids as :class:`SweepSpec` s.
-
-    ``fig2``/``fig5`` sweep slowdown over the progressive-slimming
-    topologies for one application; ``fig4`` sweeps the all-pairs
-    routes-per-NCA census.
-    """
-    if w2_values is None:
-        w2_values = tuple(range(16, 0, -1))
-    topologies = _slimming_topologies(w2_values)
-    if figure == "fig2":
-        if app is None:
-            raise ValueError("fig2 needs an application")
-        return SweepSpec(
-            topologies=topologies,
-            patterns=(app,),
-            algorithms=("random", "s-mod-k", "d-mod-k", "colored"),
-            seeds=seeds,
-            metrics=("slowdown",),
-            name=f"fig2-{app}",
-        )
-    if figure == "fig5":
-        if app is None:
-            raise ValueError("fig5 needs an application")
-        return SweepSpec(
-            topologies=topologies,
-            patterns=(app,),
-            algorithms=("s-mod-k", "d-mod-k", "colored", "r-nca-u", "r-nca-d", "random"),
-            seeds=seeds,
-            metrics=("slowdown",),
-            name=f"fig5-{app}",
-        )
-    if figure == "fig4":
-        return SweepSpec(
-            topologies=topologies,
-            patterns=("all-pairs",),
-            algorithms=("s-mod-k", "d-mod-k", "random", "r-nca-u", "r-nca-d"),
-            seeds=seeds,
-            metrics=("routes_per_nca",),
-            name="fig4",
-        )
-    raise ValueError(f"unknown figure {figure!r} (expected fig2, fig4 or fig5)")
-
-
 def fault_grid_spec(
     topology: str,
     pattern: str,
@@ -645,38 +589,4 @@ def dynamic_grid_spec(
         faults=tuple(faults),
         workloads=tuple(workloads),
         name=name or "dynamic",
-    )
-
-
-def sweep_to_figure(result: SweepResult):
-    """Adapt a fig2/fig5-shaped sweep into a :class:`FigureSweep`.
-
-    Groups the ``slowdown`` metric by algorithm and w2.  Single-seed
-    algorithms carry plain floats, randomized ones :class:`BoxStats`
-    over the seeds — even a one-seed box, matching the original figure
-    harness (bench assertions read ``.median`` off randomized series).
-    """
-    from .figures import FigureSweep, SweepSeries
-    from .stats import box_stats
-
-    w2_of = {spec: resolve_topology(spec).w[-1] for spec in result.spec.topologies}
-    samples: dict[str, dict[int, list[float]]] = {}
-    for record in result.runs:
-        w2 = w2_of[record["topology"]]
-        samples.setdefault(record["algorithm"], {}).setdefault(w2, []).append(
-            record["metrics"]["slowdown"]
-        )
-    series = []
-    for algorithm in result.spec.algorithms:
-        name, _ = parse_spec(algorithm)
-        single = name in SINGLE_SEED_ALGORITHMS
-        per_w2 = samples.get(algorithm, {})
-        values = {
-            w2: (vals[0] if single else box_stats(vals)) for w2, vals in per_w2.items()
-        }
-        series.append(SweepSeries(algorithm, values))
-    return FigureSweep(
-        result.spec.patterns[0],
-        tuple(sorted(w2_of.values(), reverse=True)),
-        tuple(series),
     )

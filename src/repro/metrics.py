@@ -39,8 +39,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .contention import link_load_summary, max_network_contention, routes_per_nca
 from .core.base import RouteTable
 from .faults import inflation_ratio
@@ -60,6 +58,8 @@ __all__ = [
     "EvalContext",
     "SKIPPED",
     "CROSSBAR_MEMO_SIZE",
+    "crossbar_reference",
+    "slowdown_ratio",
     "register_metric",
     "available_metrics",
     "known_metric_names",
@@ -252,54 +252,40 @@ def _simulate(ctx: EvalContext) -> float:
     return replay_on_xgft(pattern_trace(ctx.pattern), ctx.topo, algorithm, ctx.config).total_time
 
 
-def crossbar_time_of_phases(
-    phases: list[tuple[list[tuple[int, int]], list[int]]],
+def crossbar_reference(
+    pattern,
     num_leaves: int,
-    config: NetworkConfig,
+    config: NetworkConfig = PAPER_CONFIG,
     engine: str = DEFAULT_ENGINE,
 ) -> float:
-    """Full-Crossbar time of explicit per-phase (pairs, sizes) lists.
+    """Full-Crossbar time of the whole pattern (the slowdown denominator).
 
-    The lossy-fault slowdown reference: unlike
-    :func:`crossbar_reference` it times exactly the flows given (the
-    survivors), not the whole pattern.
+    Fluid-kind engines time each phase on the max-min model; ``replay``
+    replays the pattern's trace on the crossbar.
     """
-    from .sim.engines import make_fluid_simulator
-    from .sim.network import crossbar_link_space
-
-    total = 0.0
-    for pairs, sizes in phases:
-        if not pairs:
-            continue
-        space = crossbar_link_space(num_leaves)
-        sim = make_fluid_simulator(engine, space.num_links, config.link_bandwidth)
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        ids = np.arange(len(arr), dtype=np.int64)
-        sim.add_flows(
-            ids,
-            np.asarray(sizes, dtype=np.float64),
-            np.concatenate((ids, ids)),
-            np.concatenate(
-                (space.injection_base + arr[:, 0], space.ejection_base + arr[:, 1])
-            ),
-        )
-        total += sim.run_until_idle()
-    return total
-
-
-def crossbar_reference(pattern, topo, engine: str, config: NetworkConfig) -> float:
-    """Full-Crossbar time of the whole pattern (the slowdown denominator)."""
-    from .sim.network import crossbar_pattern_time
-
     if is_fluid_engine(engine):
-        t_ref = crossbar_pattern_time(pattern, topo.num_leaves, config, engine=engine)
-    else:
-        from .dimemas import pattern_trace, replay_on_crossbar
+        from .sim.network import crossbar_pattern_time
 
-        t_ref = replay_on_crossbar(pattern_trace(pattern), topo.num_leaves, config).total_time
-    if t_ref <= 0:
-        raise ValueError("crossbar reference time must be positive (empty pattern?)")
-    return t_ref
+        return crossbar_pattern_time(pattern, num_leaves, config, engine=engine)
+    from .dimemas import pattern_trace, replay_on_crossbar
+
+    return replay_on_crossbar(pattern_trace(pattern), num_leaves, config).total_time
+
+
+def slowdown_ratio(t_net: float, t_ref: float, pattern) -> float:
+    """The slowdown rule: network time over the Full-Crossbar reference.
+
+    A pattern whose every flow is a self-pair moves no network bytes and
+    drains instantly on both fabrics (``t_net == t_ref == 0``): slowdown
+    is 1.0 by convention — no bytes moved, so no contention was added.
+    A pattern with no flows at all, or a zero reference against a
+    positive network time, is a caller error, never a silent inf/nan.
+    """
+    if t_ref > 0:
+        return t_net / t_ref
+    if t_net <= 0 and any(phase.flows for phase in pattern.phases):
+        return 1.0
+    raise ValueError("crossbar reference time must be positive (empty pattern?)")
 
 
 # ----------------------------------------------------------------------
@@ -380,11 +366,15 @@ def _slowdown(ctx: EvalContext):
         # flows as the numerator, or losing traffic would drive slowdown
         # below the 1.0 floor and the lower-is-better gate would reward
         # disconnection; flow loss itself is disconnected_fraction's job
-        t_ref = crossbar_time_of_phases(
-            ctx.phases, ctx.topo.num_leaves, ctx.config, engine=ctx.engine
+        from .sim.network import crossbar_flows_time
+
+        t_ref = sum(
+            crossbar_flows_time(pairs, sizes, ctx.topo.num_leaves, ctx.config, ctx.engine)
+            for pairs, sizes in ctx.phases
         )
-        return sim_time / t_ref if t_ref > 0 else 1.0
-    return sim_time / _memoized_reference(ctx)
+    else:
+        t_ref = _memoized_reference(ctx)
+    return slowdown_ratio(sim_time, t_ref, ctx.pattern)
 
 
 def _memoized_reference(ctx: EvalContext) -> float:
@@ -401,7 +391,7 @@ def _memoized_reference(ctx: EvalContext) -> float:
         t_ref = memo.get(key)
         hit = t_ref is not None
         if t_ref is None:
-            t_ref = memo[key] = crossbar_reference(ctx.pattern, ctx.topo, ctx.engine, ctx.config)
+            t_ref = memo[key] = crossbar_reference(ctx.pattern, num_leaves, ctx.config, ctx.engine)
     else:
         builder = pattern_builder(ctx.pattern_spec)
         engine = resolve_engine(ctx.engine)
@@ -412,7 +402,7 @@ def _memoized_reference(ctx: EvalContext) -> float:
             _CROSSBAR_REFS.move_to_end(key)
             t_ref = entry[0]
         else:
-            t_ref = crossbar_reference(ctx.pattern, ctx.topo, ctx.engine, ctx.config)
+            t_ref = crossbar_reference(ctx.pattern, num_leaves, ctx.config, ctx.engine)
             _CROSSBAR_REFS[key] = (t_ref, builder, engine)
             if len(_CROSSBAR_REFS) > CROSSBAR_MEMO_SIZE:
                 _CROSSBAR_REFS.popitem(last=False)

@@ -126,7 +126,9 @@ def progressive_fill(
             break
         rounds += 1
         if count_frozen:
-            frozen_links += int((~blocked[:num_links] & (counts > 0.0)).sum())
+            # used links that are not blocked; every blocked link has an
+            # unfrozen user, and the pad link is always blocked
+            frozen_links += int(np.count_nonzero(counts) - np.count_nonzero(blocked)) + 1
         np.maximum(m, 0.0, out=m)
         frozen_now = orig[hit]
         rate_c[frozen_now] = m[hit]

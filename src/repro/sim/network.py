@@ -39,6 +39,7 @@ __all__ = [
     "flow_incidence",
     "simulate_phase_fluid",
     "simulate_pattern_fluid",
+    "crossbar_flows_time",
     "crossbar_phase_time",
     "crossbar_pattern_time",
 ]
@@ -188,6 +189,39 @@ def simulate_pattern_fluid(
     return total
 
 
+def crossbar_flows_time(
+    pairs,
+    sizes,
+    num_leaves: int,
+    config: NetworkConfig = PAPER_CONFIG,
+    engine: str = DEFAULT_ENGINE,
+) -> float:
+    """Completion time of one phase's flows on the ideal Full-Crossbar.
+
+    Only injection/ejection serialization applies: "the best performance
+    that can be obtained in the absence of network contention".
+    ``pairs`` are ``(src, dst)`` leaves (any ``(F, 2)`` integer
+    array-like) and ``sizes`` the F message sizes; self-pairs move no
+    network bytes and are dropped.
+    """
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    keep = arr[:, 0] != arr[:, 1]
+    arr, sizes = arr[keep], sizes[keep]
+    if not len(arr):
+        return 0.0
+    space = crossbar_link_space(num_leaves)
+    ids = np.arange(len(arr), dtype=np.int64)
+    sim = make_fluid_simulator(engine, space.num_links, config.link_bandwidth)
+    sim.add_flows(
+        ids,
+        sizes,
+        np.concatenate((ids, ids)),
+        np.concatenate((space.injection_base + arr[:, 0], space.ejection_base + arr[:, 1])),
+    )
+    return sim.run_until_idle()
+
+
 def crossbar_phase_time(
     phase: Phase,
     num_leaves: int,
@@ -195,35 +229,13 @@ def crossbar_phase_time(
     mapping: Sequence[int] | None = None,
     engine: str = DEFAULT_ENGINE,
 ) -> float:
-    """Completion time of a phase on the ideal Full-Crossbar.
-
-    Only injection/ejection serialization applies: "the best performance
-    that can be obtained in the absence of network contention".
-    """
-    if mapping is None:
-        mapping = range(num_leaves)
-    mapping = list(mapping)
-    space = crossbar_link_space(num_leaves)
-    keep = [
-        (mapping[f.src], mapping[f.dst], float(f.size))
-        for f in phase.flows
-        if mapping[f.src] != mapping[f.dst]
-    ]
-    if not keep:
-        return 0.0
-    src = np.asarray([s for s, _, _ in keep], dtype=np.int64)
-    dst = np.asarray([d for _, d, _ in keep], dtype=np.int64)
-    sizes = np.asarray([z for _, _, z in keep], dtype=np.float64)
-    n = len(keep)
-    ids = np.arange(n, dtype=np.int64)
-    sim = make_fluid_simulator(engine, space.num_links, config.link_bandwidth)
-    sim.add_flows(
-        ids,
-        sizes,
-        np.concatenate((ids, ids)),
-        np.concatenate((space.injection_base + src, space.ejection_base + dst)),
+    """Full-Crossbar time of a phase whose ranks sit on ``mapping``'s
+    leaves (identity by default); see :func:`crossbar_flows_time`."""
+    leaf = np.arange(num_leaves) if mapping is None else np.asarray(list(mapping), dtype=np.int64)
+    pairs = leaf[np.asarray([f.pair for f in phase.flows], dtype=np.int64).reshape(-1, 2)]
+    return crossbar_flows_time(
+        pairs, [f.size for f in phase.flows], num_leaves, config, engine=engine
     )
-    return sim.run_until_idle()
 
 
 def crossbar_pattern_time(

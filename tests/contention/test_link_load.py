@@ -108,3 +108,17 @@ class TestBusiestLinksOrdering:
         counts = link_flow_counts(table)
         used = sorted(int(i) for i in np.nonzero(counts)[0])
         assert [idx for _, idx, _ in busiest_links(table, top=3)] == used[:3]
+
+
+class TestPaperTreeExpansion:
+    """Sizes of the census hot path on the paper's slimmed tree."""
+
+    @pytest.fixture(scope="class")
+    def slim(self):
+        return XGFT((16, 16), (1, 10))
+
+    def test_flow_links_expansion(self, slim):
+        """Every top-level pair crosses 4 links, every level-1 pair 2."""
+        pairs = [(s, d) for s in range(256) for d in range(256) if s != d]
+        flows, links = make_algorithm("d-mod-k", slim).build_table(pairs).flow_links()
+        assert len(flows) == len(links) == 4 * 61440 + 2 * 3840

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.contention import routes_per_nca
 from repro.core import DModK, RNCADown, RNCAUp, SModK
 from tests.helpers import xgft_examples
 
@@ -80,6 +82,46 @@ class TestBalanceOverRoots:
         b = RNCAUp(paper_full_tree, seed=2)
         pairs = [(s, (s + 16) % 256) for s in range(128)]
         assert (a.build_table(pairs).ports != b.build_table(pairs).ports).any()
+
+
+class TestRelabelMapAblation:
+    """Only the per-subtree balanced scramble breaks the mod-k pathology.
+
+    The plain ``mod`` map is D-mod-k; one ``global-random`` scramble per
+    level keeps CG's two destination digits per switch two digits, so
+    the two-uplink funnel of Eq. (2) survives it.
+    """
+
+    MAP_KINDS = ("balanced-random", "mod", "global-random")
+
+    def test_cg_slowdown_by_map_kind(self):
+        from repro.experiments import SweepSpec, run_sweep
+
+        spec = SweepSpec(
+            topologies=("XGFT(2;16,16;1,16)",),
+            patterns=("cg-128",),
+            algorithms=tuple(f"r-nca-d(map_kind={kind})" for kind in self.MAP_KINDS),
+            seeds=5,
+            metrics=("slowdown",),
+        )
+        samples: dict[str, list[float]] = {}
+        for record in run_sweep(spec).runs:
+            kind = record["algorithm"].split("map_kind=")[1].rstrip(")")
+            samples.setdefault(kind, []).append(record["metrics"]["slowdown"])
+        medians = {kind: float(np.median(v)) for kind, v in samples.items()}
+        assert medians["mod"] == pytest.approx(2.2, rel=0.01)
+        assert medians["balanced-random"] < medians["mod"]
+        assert medians["global-random"] == pytest.approx(medians["mod"], rel=0.01)
+
+    def test_census_spread_by_map_kind(self, paper_slimmed_tree):
+        """On the slimmed tree only the balanced map narrows the
+        Fig. 4(b) 7680/3840 census; the mod map keeps it."""
+        spreads = {}
+        for kind in ("balanced-random", "mod"):
+            table = RNCADown(paper_slimmed_tree, seed=1, map_kind=kind).all_pairs_table()
+            spreads[kind] = int(np.ptp(routes_per_nca(table)))
+        assert spreads["mod"] == 3840
+        assert spreads["balanced-random"] < 3840
 
 
 class TestValidity:

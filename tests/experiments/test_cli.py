@@ -156,12 +156,22 @@ class TestSweepCommands:
         data = json.loads(out.read_text())
         assert [r["algorithm"] for r in data["runs"]] == ["d-mod-k"]
 
-    def test_sweep_baseline_gate(self, tmp_path, capsys):
-        out = tmp_path / "sweep_results.json"
-        assert main([*SWEEP_ARGS, "-o", str(out)]) == 0
-        # identical baseline passes through the --baseline gate
-        assert main([*SWEEP_ARGS, "-o", str(out), "--baseline", str(out)]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_sweep_gates_through_compare(self, tmp_path, capsys):
+        """`repro compare` is the one gate: a re-run passes against the
+        first run's artifact, and the retired in-command gate is gone."""
+        base, current = tmp_path / "base.json", tmp_path / "current.json"
+        assert main([*SWEEP_ARGS, "-o", str(base)]) == 0
+        assert main([*SWEEP_ARGS, "-o", str(current)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(base), str(current)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("PASS")
+        for retired in (["--baseline", str(base)], ["--tolerance", "0.1"]):
+            with pytest.raises(SystemExit):
+                main([*SWEEP_ARGS, "-o", str(current), *retired])
+
+    def test_graphs_command_is_retired(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["graphs", "--preset", "smoke"])
 
     def test_sweep_faults_flag(self, tmp_path, capsys):
         out = tmp_path / "faulted.json"

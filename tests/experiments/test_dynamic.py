@@ -266,19 +266,23 @@ class TestDynamicCli:
         assert len(data["runs"]) == 2
         assert all(r["metrics"]["fct_p50"] > 0 for r in data["runs"])
 
-    def test_dynamic_baseline_gate(self, tmp_path, capsys):
-        out = tmp_path / "base.json"
-        args = [
-            "dynamic",
-            "--topology", TOPO,
-            "--workload", WL,
-            "--algorithms", "d-mod-k",
-            "-o", str(out),
-        ]
-        assert main(args) == 0
-        # same spec vs its own artifact: PASS
-        assert main([*args[:-2], "--baseline", str(out)]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_dynamic_gates_through_compare(self, tmp_path, capsys):
+        """`repro dynamic -o` plus `repro compare` is the dynamic gate:
+        a re-run passes at 2%, a slower FCT fails it."""
+        args = ["dynamic", "--topology", TOPO, "--workload", WL, "--algorithms", "d-mod-k"]
+        base, current = tmp_path / "base.json", tmp_path / "current.json"
+        assert main([*args, "-o", str(base)]) == 0
+        assert main([*args, "-o", str(current)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(base), str(current), "--tolerance", "0.02"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("PASS")
+        data = json.loads(current.read_text())
+        data["runs"][0]["metrics"]["fct_p99"] *= 1.03
+        current.write_text(json.dumps(data))
+        assert main(["compare", str(base), str(current), "--tolerance", "0.02"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main([*args, "--baseline", str(base)])
 
     def test_sweep_workloads_flag(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"

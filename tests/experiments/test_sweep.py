@@ -16,12 +16,10 @@ from repro.experiments import (
     RunSpec,
     SweepSpec,
     execute_run,
-    figure_grid_spec,
     load_artifact,
     plan_runs,
     run_sweep,
     sweep_compare,
-    sweep_to_figure,
     write_artifact,
 )
 from repro.experiments.sweep import subset_table
@@ -572,27 +570,20 @@ class TestFaultsAxis:
             fault_grid_spec("XGFT(2;4,4;1,4)", "shift-1", ("d-mod-k",), (0.1,), kind="x")
 
 
-class TestFigureAdapters:
-    def test_fig2_grid_matches_original_harness(self):
-        from repro.experiments import fig2
-
-        spec = figure_grid_spec("fig2", "wrf-256", w2_values=(16, 4), seeds=2)
-        fig = sweep_to_figure(run_sweep(spec, jobs=2))
-        orig = fig2("wrf", w2_values=(16, 4), seeds=2)
-        for name in ("random", "s-mod-k", "d-mod-k", "colored"):
-            for w2 in (16, 4):
-                got = fig.series_by_name(name).values[w2]
-                want = orig.series_by_name(name).values[w2]
-                got_m = got.median if hasattr(got, "median") else got
-                want_m = want.median if hasattr(want, "median") else want
-                assert got_m == pytest.approx(want_m, rel=1e-9)
-
-    def test_fig4_grid_shape(self):
-        spec = figure_grid_spec("fig4", w2_values=(2,), seeds=2)
+class TestRoutesPerNcaGrid:
+    def test_all_pairs_census_grid(self):
+        """The Fig. 4 census as a sweep: deterministic schemes collapse
+        to one seed, and every cross-switch pair lands on one root."""
+        spec = SweepSpec(
+            topologies=("XGFT(2;16,16;1,2)",),
+            patterns=("all-pairs",),
+            algorithms=("s-mod-k", "d-mod-k", "random", "r-nca-u", "r-nca-d"),
+            seeds=2,
+            metrics=("routes_per_nca",),
+        )
         result = run_sweep(spec)
         assert len(result.runs) == 2 + 3 * 2  # 2 deterministic + 3 randomized x 2 seeds
         for record in result.runs:
             census = record["metrics"]["routes_per_nca"]
             assert len(census) == 2  # one entry per root (w2 roots)
-            # every cross-switch ordered pair lands on exactly one root
             assert sum(census) == 256 * 255 - 16 * 16 * 15

@@ -106,6 +106,35 @@ class TestKernel:
         progressive_fill(lm, cap)
         assert np.array_equal(cap, before)
 
+    @given(inst=instances())
+    @settings(max_examples=150, deadline=None)
+    def test_frozen_links_match_a_direct_count(self, inst):
+        """The kernel derives each round's frozen-link count from two
+        nonzero counts; a per-flow reference fill counts the used,
+        unblocked links directly."""
+        num_links, cap, flows, lm = inst
+        remaining = cap.astype(np.float64).copy()
+        unfrozen = set(range(len(flows)))
+        rounds = frozen_links = 0
+        while unfrozen:
+            counts = np.zeros(num_links)
+            for i in unfrozen:
+                counts[flows[i]] += 1
+            shares = np.full(num_links, np.inf)
+            np.divide(remaining, counts, out=shares, where=counts > 0)
+            bottleneck = {i: shares[flows[i]].min() for i in unfrozen}
+            blocked = np.zeros(num_links, dtype=bool)
+            for i in unfrozen:
+                blocked[flows[i][bottleneck[i] < shares[flows[i]] - 1e-9]] = True
+            rounds += 1
+            frozen_links += int((~blocked & (counts > 0)).sum())
+            for i in [i for i in unfrozen if not blocked[flows[i]].all()]:
+                remaining[flows[i]] -= max(bottleneck[i], 0.0)
+                unfrozen.discard(i)
+            np.maximum(remaining, 0.0, out=remaining)
+        fill = progressive_fill(lm, cap, count_frozen=True)
+        assert (fill.rounds, fill.frozen_links) == (rounds, frozen_links)
+
     def test_counters(self):
         # two flows share link 0; flow 1 alone also crosses the tighter
         # link 1, so it freezes first and flow 0 takes the rest

@@ -161,6 +161,52 @@ class TestScenarioEvaluation:
         assert again.metrics["slowdown"] == pytest.approx(1.0)
 
 
+class TestSlowdownRule:
+    """The ``slowdown`` metric and :func:`repro.experiments.slowdown`
+    share one ratio rule (:func:`repro.metrics.slowdown_ratio`)."""
+
+    TOPO = "XGFT(2;16,16;1,8)"
+
+    @pytest.mark.parametrize("engine", ["fluid", "fluid-vec", "fluid-vec-inc", "replay"])
+    def test_self_pair_pattern_is_one(self, engine):
+        """Regression: every flow a self-pair moves no network bytes, so
+        t_net == t_ref == 0; the metric raised where the helper
+        returned the 1.0 convention."""
+        from repro.experiments import slowdown
+        from repro.patterns.base import Flow, Pattern, Phase
+
+        pattern = Pattern((Phase(tuple(Flow(i, i, 100) for i in range(8))),), name="self")
+        metric = Scenario(self.TOPO, pattern, "d-mod-k").evaluate(
+            metrics=("slowdown",), engine=engine
+        )
+        assert metric.metrics["slowdown"] == 1.0
+        assert slowdown(XGFT((16, 16), (1, 8)), "d-mod-k", pattern, engine=engine) == 1.0
+
+    def test_zero_size_pattern_is_an_error(self):
+        """A pattern with no flows at all is a caller error on both paths."""
+        from repro.experiments import slowdown
+        from repro.patterns.base import Flow, Pattern, Phase
+
+        empty = Pattern((Phase(()),), name="empty")
+        with pytest.raises(ValueError, match="reference time"):
+            Scenario(self.TOPO, empty, "d-mod-k").evaluate(metrics=("slowdown",))
+        with pytest.raises(ValueError, match="reference time"):
+            slowdown(XGFT((16, 16), (1, 8)), "d-mod-k", empty)
+        # and a flow cannot carry zero bytes in the first place
+        with pytest.raises(ValueError, match="non-positive size"):
+            Flow(0, 17, 0)
+
+    def test_zero_reference_with_network_time_is_an_error(self):
+        from repro.metrics import slowdown_ratio
+        from repro.patterns.base import Flow, Pattern, Phase
+
+        pattern = Pattern((Phase((Flow(0, 17, 100),)),), name="one")
+        assert slowdown_ratio(6.0, 2.0, pattern) == 3.0
+        assert slowdown_ratio(0.0, 0.0, pattern) == 1.0
+        with pytest.raises(ValueError, match="reference time"):
+            slowdown_ratio(1.0, 0.0, pattern)
+
+
 class TestCompare:
     def test_cross_algorithm_table(self):
         base = Scenario("XGFT(2;4,4;1,2)", "bit-reversal", "d-mod-k")

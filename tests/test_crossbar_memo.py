@@ -32,9 +32,9 @@ def fresh_memo(monkeypatch):
     calls = []
     real = repro_metrics.crossbar_reference
 
-    def counting(pattern, topo, engine, config):
-        calls.append((pattern.name, topo.num_leaves))
-        return real(pattern, topo, engine, config)
+    def counting(pattern, num_leaves, config, engine):
+        calls.append((pattern.name, num_leaves))
+        return real(pattern, num_leaves, config, engine)
 
     monkeypatch.setattr(repro_metrics, "crossbar_reference", counting)
     return calls

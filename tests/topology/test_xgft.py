@@ -182,6 +182,7 @@ class TestNCA:
         arr = topo.nca_level_array(src, dst)
         for i in range(0, n * n, 7):
             assert arr[i] == topo.nca_level(int(src[i]), int(dst[i]))
+        assert (arr == 0).sum() == n  # only the diagonal
 
     def test_num_ncas(self, paper_slimmed_tree):
         assert paper_slimmed_tree.num_ncas(0) == 1
