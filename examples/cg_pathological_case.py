@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.api import Scenario, compare
 from repro.contention import contention_report
 from repro.core import make_algorithm
-from repro.experiments import crossbar_time, slowdown
 from repro.patterns import cg_pattern, cg_transpose_exchange
 from repro.sim import crossbar_phase_time, simulate_phase_fluid
 from repro.topology import slimmed_two_level
@@ -61,7 +61,7 @@ def main() -> None:
     )
     transpose = pattern.phases[-1]
     sizes = [f.size for f in transpose.flows]
-    t_phase = simulate_phase_fluid(table, sizes).duration
+    t_phase = simulate_phase_fluid(table, sizes)
     t_ref = crossbar_phase_time(transpose, 256)
     print(
         f"simulated phase time: {t_phase * 1e3:.2f} ms vs crossbar "
@@ -69,13 +69,12 @@ def main() -> None:
     )
 
     # -- 4. the fix ---------------------------------------------------------
-    t_xbar = crossbar_time(pattern, 256)
+    # one compare() per scheme: its scenarios share one crossbar reference
     print("\nwhole-application slowdown vs Full-Crossbar:")
     for name in ("d-mod-k", "random", "r-nca-d", "colored"):
-        values = [
-            slowdown(topo, name, pattern, seed=s, reference_time=t_xbar)
-            for s in (range(5) if name in ("random", "r-nca-d") else [0])
-        ]
+        seeds = range(5) if name in ("random", "r-nca-d") else [0]
+        scenarios = [Scenario(topo, pattern, name, seed=s) for s in seeds]
+        values = [r["slowdown"] for r in compare(scenarios, ("slowdown",)).results]
         mid = sorted(values)[len(values) // 2]
         print(f"  {name:>8}: {mid:.2f}x" + ("  (median of 5 seeds)" if len(values) > 1 else ""))
     print(

@@ -19,9 +19,8 @@ from __future__ import annotations
 from repro import XGFT, make_algorithm, parse_xgft
 from repro.api import Scenario, compare
 from repro.contention import contention_report, max_network_contention
-from repro.patterns import shift
-from repro.sim import PAPER_CONFIG, crossbar_phase_time, simulate_phase_fluid
-from repro.patterns import Phase
+from repro.patterns import Phase, shift
+from repro.sim import crossbar_phase_time, simulate_phase_fluid
 from repro.topology import ascii_art, cost_summary
 
 
@@ -66,7 +65,7 @@ def main() -> None:
     print(f"\nphase time on the ideal crossbar: {t_ref * 1e3:.3f} ms")
     for name in ("d-mod-k", "random"):
         table = make_algorithm(name, full, seed=1).build_table(pairs)
-        t = simulate_phase_fluid(table, [256 * 1024] * len(table)).duration
+        t = simulate_phase_fluid(table, [256 * 1024] * len(table))
         print(f"  {name:>8}: {t * 1e3:.3f} ms  (slowdown {t / t_ref:.2f}x)")
 
     # -- 5. the same study, one facade call each ----------------------------

@@ -64,7 +64,7 @@ def main() -> None:
     pairs = cg_transpose_exchange(128)
     size = 64 * 1024  # scaled down so the flit run stays snappy
     table = DModK(topo).build_table(pairs)
-    fluid = simulate_phase_fluid(table, [size] * len(table), cfg).duration
+    fluid = simulate_phase_fluid(table, [size] * len(table), cfg)
     venus = VenusSimulator(topo, cfg)
     venus.inject_table(table, [size] * len(table))
     vres = venus.run()

@@ -17,14 +17,14 @@ Run:  python examples/wrf_slimming_study.py
 
 from __future__ import annotations
 
-from repro.experiments import crossbar_time, slowdown
+from repro.api import Scenario, compare
 from repro.patterns import wrf_pattern
+from repro.sim import crossbar_pattern_time
 from repro.topology import cost_summary, slimmed_two_level
 
 
 def main() -> None:
-    pattern = wrf_pattern(256)
-    t_ref = crossbar_time(pattern, 256)
+    t_ref = crossbar_pattern_time(wrf_pattern(256), 256)
     print(f"WRF-256 on the ideal crossbar: {t_ref * 1e3:.2f} ms")
     print(
         f"\n{'w2':>3} {'switches':>9} {'ports':>7} "
@@ -35,8 +35,13 @@ def main() -> None:
     for w2 in range(16, 0, -1):
         topo = slimmed_two_level(16, 16, w2)
         cs = cost_summary(topo)
-        s_modk = slowdown(topo, "s-mod-k", pattern, reference_time=t_ref)
-        rand = slowdown(topo, "random", pattern, seed=0, reference_time=t_ref)
+        # the spec-named "wrf" pattern's crossbar reference is
+        # computed once per process and reused for every w2
+        base = Scenario(topo, "wrf", "s-mod-k")
+        s_modk, rand = (
+            r["slowdown"]
+            for r in compare([base, base.with_(algorithm="random")], ("slowdown",)).results
+        )
         results[w2] = (cs, s_modk, rand)
         verdict = ""
         if s_modk <= 2.0:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence, cast
+from typing import Callable, Mapping, Sequence, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -519,20 +519,33 @@ class Scenario:
         the oblivious all-pairs table (uniform arrivals exercise every
         row); a pattern-aware dynamic scenario realizes traffic-blind.
         """
+
+        def routed() -> RouteTable | None:
+            if self.is_dynamic and not is_oblivious(self.routing):
+                return None  # no static table under churn: traffic-blind
+            return self.route_table()
+
+        return self._realized_faults(routed)
+
+    def _realized_faults(
+        self, traffic: Callable[[], RouteTable | None]
+    ) -> DegradedTopology | None:
+        """Realize the fault spec once; later calls return the same fabric.
+
+        Realization is a pure function of (topology, spec, routed
+        traffic), so the first result serves every later evaluation.
+        ``traffic`` returns the routed traffic and is called only when
+        the spec needs it (``worst-links``): a pristine scenario, a
+        memoized realization and a random ``links:``/``switches:`` spec
+        build no route table.
+        """
         if not self._degraded_done:
             spec = self.fault_spec
-            if spec.kind == "none":
-                self._degraded = None
-            else:
+            if spec.kind != "none":
                 _reject_graph_faults(self.topo, self.routing, self.faults_spec)
-                if self.is_dynamic:
-                    routed = (
-                        self.route_table() if is_oblivious(self.routing) else None
-                    )
-                else:
-                    routed = self.route_table()
-                traffic = routed if routed is not None and len(routed) else None
-                self._degraded = DegradedTopology(self.topo, spec.realize(self.topo, table=traffic))
+                routed = traffic() if spec.needs_traffic else None
+                table = routed if routed is not None and len(routed) else None
+                self._degraded = DegradedTopology(self.topo, spec.realize(self.topo, table=table))
             self._degraded_done = True
         return self._degraded
 
@@ -680,31 +693,19 @@ def evaluate_scenario(
     # degrade-and-repair: faults are realized against the *routed*
     # traffic (adversarial specs cut the most loaded cables of this very
     # pattern), the pristine tables become the resilience baseline, and
-    # every downstream metric sees only surviving, repaired flows
-    fault_spec = scenario.fault_spec
-    degraded = None
+    # every downstream metric sees only surviving, repaired flows.
+    # Seeded random draws depend only on the fault spec (not the run
+    # seed), so every algorithm and routing seed of a row faces the
+    # *same* degraded fabric; sweep several draws by listing several
+    # specs ("links:rate=0.05,seed=0", "links:rate=0.05,seed=1", ...).
+    # Adversarial "worst-links" specs are the deliberate exception:
+    # each cell's adversary watches that cell's own routes, so every
+    # scheme faces *its own* worst case (per-cell fabrics, see
+    # fault_info for what was actually cut)
+    degraded = scenario._realized_faults(lambda: concat_tables(tables) if tables else None)
     fault_info: dict[str, int] = {}
     baseline_agg = None
-    if fault_spec.kind != "none":
-        _reject_graph_faults(topo, algorithm, scenario.faults_spec)
-        # seeded random draws depend only on the fault spec (not the run
-        # seed), so every algorithm and routing seed of a row faces the
-        # *same* degraded fabric; sweep several draws by listing several
-        # specs ("links:rate=0.05,seed=0", "links:rate=0.05,seed=1", ...).
-        # adversarial "worst-links" specs are the deliberate exception:
-        # each cell's adversary watches that cell's own routes, so every
-        # scheme faces *its own* worst case (per-cell fabrics, see
-        # fault_info for what was actually cut)
-        if scenario._degraded_done:
-            # realization is a pure function of (topology, spec, routed
-            # traffic), so a prior degraded() result is reusable —
-            # adversarial scans over the routed traffic are not free
-            degraded = scenario._degraded
-        else:
-            traffic = concat_tables(tables) if tables else None
-            degraded = DegradedTopology(topo, fault_spec.realize(topo, table=traffic))
-            scenario._degraded = degraded
-            scenario._degraded_done = True
+    if degraded is not None:
         repairs = [repair_table(t, degraded, seed=scenario.seed) for t in tables]
         baseline_agg = load_aggregate(tables)
         tables = [r.table for r in repairs]
@@ -783,7 +784,6 @@ def _evaluate_dynamic(
             "workloads need an incremental fluid engine "
             f"({', '.join(fluid_engine_names())})"
         )
-    topo = scenario.topo
     algorithm = scenario.routing
     cache = cache if cache is not None else scenario._cache
     workload = scenario.dynamic_workload
@@ -793,18 +793,7 @@ def _evaluate_dynamic(
             scenario.memo_key, algorithm, store_key=scenario.store_key
         )
 
-    fault_spec = scenario.fault_spec
-    if scenario._degraded_done:
-        degraded = scenario._degraded
-    elif fault_spec.kind == "none":
-        degraded = None
-        scenario._degraded = None
-        scenario._degraded_done = True
-    else:
-        _reject_graph_faults(topo, algorithm, scenario.faults_spec)
-        degraded = DegradedTopology(topo, fault_spec.realize(topo, table=table))
-        scenario._degraded = degraded
-        scenario._degraded_done = True
+    degraded = scenario._realized_faults(lambda: table)
 
     # the driver runs on the *machine* the algorithm routes: a graph
     # scheme given an XGFT spec lowers it, so its tables index the

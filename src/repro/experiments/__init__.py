@@ -1,10 +1,11 @@
 """The figure/table regeneration harness (paper Secs. VI, VII, IX).
 
 One function per paper artifact (:mod:`repro.experiments.figures`),
-slowdown measurement vs the Full-Crossbar
-(:mod:`repro.experiments.slowdown`), boxplot statistics
+the sweep engine (:mod:`repro.experiments.sweep`), boxplot statistics
 (:mod:`repro.experiments.stats`) and plain-text rendering
-(:mod:`repro.experiments.report`).
+(:mod:`repro.experiments.report`).  A pattern's slowdown vs the
+Full-Crossbar is the ``slowdown`` metric of a
+:class:`repro.api.Scenario`, the path every figure and sweep takes.
 """
 
 from .figures import (
@@ -37,7 +38,6 @@ from .report import (
     format_table1,
     sweep_compare,
 )
-from .slowdown import crossbar_time, slowdown
 from .stats import BoxStats, box_stats
 from .sweep import (
     DEFAULT_METRICS,
@@ -71,8 +71,6 @@ __all__ = [
     "Fig4Result",
     "EquivalenceResult",
     "application_pattern",
-    "slowdown",
-    "crossbar_time",
     "BoxStats",
     "box_stats",
     "format_sweep",

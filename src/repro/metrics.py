@@ -227,9 +227,7 @@ def _simulate(ctx: EvalContext) -> float:
 
     if is_fluid_engine(ctx.engine):
         return sum(
-            simulate_phase_fluid(
-                table, sizes, ctx.config, degraded=ctx.degraded, engine=ctx.engine
-            ).duration
+            simulate_phase_fluid(table, sizes, ctx.config, degraded=ctx.degraded, engine=ctx.engine)
             for table, (_, sizes) in zip(ctx.tables, ctx.phases)
         )
     from .dimemas import pattern_trace, replay_on_xgft

@@ -13,8 +13,9 @@
   ``fluid-vec-inc`` / ``replay``);
 * :mod:`repro.sim.venus` — flit-level event-driven engine (the Venus
   substitute; used for validation and latency-sensitive studies);
-* :mod:`repro.sim.network` — the link-space glue and the Full-Crossbar
-  reference, shared phase/pattern drivers;
+* :mod:`repro.sim.network` — the link-space glue, the phase makespan
+  and the Full-Crossbar reference (patterns are timed through
+  :mod:`repro.api`);
 * :mod:`repro.sim.config` — the paper's network parameters.
 """
 
@@ -36,15 +37,13 @@ from .fluid_inc import IncFluidSimulator
 from .fluid_vec import VecFluidSimulator
 from .network import (
     LinkSpace,
-    PhaseResult,
     crossbar_link_space,
     crossbar_pattern_time,
     crossbar_phase_time,
-    simulate_pattern_fluid,
     simulate_phase_fluid,
     xgft_link_space,
 )
-from .venus import VenusPhaseResult, VenusSimulator
+from .venus import VenusResult, VenusSimulator
 
 __all__ = [
     "NetworkConfig",
@@ -66,11 +65,9 @@ __all__ = [
     "LinkSpace",
     "xgft_link_space",
     "crossbar_link_space",
-    "PhaseResult",
     "simulate_phase_fluid",
-    "simulate_pattern_fluid",
     "crossbar_phase_time",
     "crossbar_pattern_time",
     "VenusSimulator",
-    "VenusPhaseResult",
+    "VenusResult",
 ]

@@ -100,7 +100,6 @@ class FluidSimulator:
         # construction so the overhead gate can A/B with obs.deactivated()
         self._obs_on = _obs_active()
         self.fill_rounds = 0
-        self.frozen_links = 0
         self.compactions = 0
         self.active_flows_hwm = 0
 
@@ -232,9 +231,7 @@ class FluidSimulator:
                     remaining[l] -= best_share
             remaining = np.maximum(remaining, 0.0)
         if self._obs_on:
-            # each scalar round freezes exactly one bottleneck link
             self.fill_rounds += rounds
-            self.frozen_links += rounds
         self._rates_valid = True
 
     def telemetry(self) -> dict:
@@ -247,7 +244,6 @@ class FluidSimulator:
         return {
             "recomputes": self.recomputes,
             "fill_rounds": self.fill_rounds,
-            "frozen_links": self.frozen_links,
             "compactions": self.compactions,
             "active_flows_hwm": self.active_flows_hwm,
         }

@@ -55,7 +55,6 @@ class Fill(NamedTuple):
     e_f: np.ndarray
     e_l: np.ndarray
     rounds: int
-    frozen_links: int
     compactions: int
 
 
@@ -63,16 +62,13 @@ def progressive_fill(
     lm: np.ndarray,
     capacity: np.ndarray,
     coo: tuple[np.ndarray, np.ndarray] | None = None,
-    count_frozen: bool = False,
 ) -> Fill:
     """Max-min fair rates of the flows whose links are the rows of ``lm``.
 
     ``lm`` is the ``(F, W)`` link matrix, padded with ``len(capacity)``;
     ``capacity`` the per-link capacity (full or residual; not modified).
     ``coo = (e_f, e_l)`` lists the same incidence as (row, link) entries
-    in any order; it is derived from ``lm`` when omitted.  Counting the
-    frozen links costs a pass over every link per round, so it is
-    opt-in (``count_frozen``).
+    in any order; it is derived from ``lm`` when omitted.
     """
     n = len(lm)
     num_links = len(capacity)
@@ -102,7 +98,7 @@ def progressive_fill(
     blocked = np.empty(num_links + 1, dtype=bool)
     n_unfrozen = n
     last_compact = n
-    rounds = frozen_links = compactions = 0
+    rounds = compactions = 0
     while n_unfrozen:
         # per-flow bottleneck: the minimal share over the flow's links
         m = shares_ext[lm].min(axis=1)
@@ -125,10 +121,6 @@ def progressive_fill(
         if not hit.any():  # pragma: no cover - defensive
             break
         rounds += 1
-        if count_frozen:
-            # used links that are not blocked; every blocked link has an
-            # unfrozen user, and the pad link is always blocked
-            frozen_links += int(np.count_nonzero(counts) - np.count_nonzero(blocked)) + 1
         np.maximum(m, 0.0, out=m)
         frozen_now = orig[hit]
         rate_c[frozen_now] = m[hit]
@@ -156,7 +148,7 @@ def progressive_fill(
             unfrozen = np.ones(n_unfrozen, dtype=bool)
             last_compact = n_unfrozen
             compactions += 1
-    return Fill(rate_c, coo_f, coo_l, rounds, frozen_links, compactions)
+    return Fill(rate_c, coo_f, coo_l, rounds, compactions)
 
 
 class BatchFluidEngine:
@@ -207,7 +199,6 @@ class BatchFluidEngine:
         # telemetry (see telemetry())
         self.recomputes = 0
         self.fill_rounds = 0
-        self.frozen_links = 0
         self.compactions = 0
         self.active_flows_hwm = 0
 
@@ -365,10 +356,9 @@ class BatchFluidEngine:
         coo: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> Fill:
         """:func:`progressive_fill`, with its counters added to telemetry."""
-        fill = progressive_fill(lm, capacity, coo, count_frozen=self._obs_on)
+        fill = progressive_fill(lm, capacity, coo)
         if self._obs_on:
             self.fill_rounds += fill.rounds
-            self.frozen_links += fill.frozen_links
             self.compactions += fill.compactions
         return fill
 
@@ -403,7 +393,6 @@ class BatchFluidEngine:
         return {
             "recomputes": self.recomputes,
             "fill_rounds": self.fill_rounds,
-            "frozen_links": self.frozen_links,
             "compactions": self.compactions,
             "active_flows_hwm": self.active_flows_hwm,
         }

@@ -35,10 +35,8 @@ __all__ = [
     "LinkSpace",
     "xgft_link_space",
     "crossbar_link_space",
-    "PhaseResult",
     "flow_incidence",
     "simulate_phase_fluid",
-    "simulate_pattern_fluid",
     "crossbar_flows_time",
     "crossbar_phase_time",
     "crossbar_pattern_time",
@@ -84,14 +82,6 @@ def crossbar_link_space(num_leaves: int) -> LinkSpace:
     )
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    """Timing of one simulated phase."""
-
-    duration: float
-    flow_finish: dict[int, float]  # flow index within the phase -> finish time
-
-
 def flow_incidence(
     table: RouteTable, space: LinkSpace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,14 +101,33 @@ def flow_incidence(
     return coo_flow, coo_link
 
 
+def _makespan(
+    num_links: int,
+    sizes: np.ndarray,
+    coo_flow: np.ndarray,
+    coo_link: np.ndarray,
+    config: NetworkConfig,
+    engine: str,
+) -> float:
+    """Time for flows that all start at t=0 to drain on a fresh engine.
+
+    ``coo_flow``/``coo_link`` is the flow↔link incidence over a
+    ``num_links`` link space, with flow ``i`` moving ``sizes[i]`` bytes.
+    The one engine run behind every phase and crossbar time.
+    """
+    sim = make_fluid_simulator(engine, num_links, config.link_bandwidth)
+    sim.add_flows(np.arange(len(sizes), dtype=np.int64), sizes, coo_flow, coo_link)
+    return sim.run_until_idle()
+
+
 def simulate_phase_fluid(
     table: RouteTable,
     sizes: Sequence[float],
     config: NetworkConfig = PAPER_CONFIG,
     degraded=None,
     engine: str = DEFAULT_ENGINE,
-) -> PhaseResult:
-    """Simulate one bulk-synchronous phase on an XGFT with a fluid engine.
+) -> float:
+    """Makespan of one bulk-synchronous phase on an XGFT (fluid engine).
 
     ``table`` routes the phase's flows; ``sizes`` gives per-flow bytes.
     All flows start at t=0; the phase ends when the last one drains.
@@ -144,49 +153,10 @@ def simulate_phase_fluid(
                 "the table against the degraded topology first"
             )
     space = xgft_link_space(table.topo)
-    sim = make_fluid_simulator(engine, space.num_links, config.link_bandwidth)
-    n = len(table)
     coo_flow, coo_link = flow_incidence(table, space)
-    sim.add_flows(
-        np.arange(n, dtype=np.int64),
-        np.asarray(sizes, dtype=np.float64),
-        coo_flow,
-        coo_link,
+    return _makespan(
+        space.num_links, np.asarray(sizes, dtype=np.float64), coo_flow, coo_link, config, engine
     )
-    duration = sim.run_until_idle()
-    return PhaseResult(duration, {r.flow_id: r.finish for r in sim.results})
-
-
-def simulate_pattern_fluid(
-    topo: XGFT,
-    algorithm,
-    pattern: Pattern,
-    config: NetworkConfig = PAPER_CONFIG,
-    mapping: Sequence[int] | None = None,
-    engine: str = DEFAULT_ENGINE,
-) -> float:
-    """Total time of a multi-phase pattern (barrier between phases).
-
-    ``mapping[rank]`` is the leaf a rank runs on (sequential by default,
-    the paper's placement).  Routing tables are built per phase from the
-    pattern's pairs — for the pattern-aware Colored baseline this is
-    exactly the information it is entitled to.
-    """
-    if mapping is None:
-        mapping = range(pattern.num_ranks)
-    mapping = list(mapping)
-    total = 0.0
-    for phase in pattern.phases:
-        pairs = [(mapping[f.src], mapping[f.dst]) for f in phase.flows]
-        sizes = [f.size for f in phase.flows]
-        keep = [(p, s) for p, s in zip(pairs, sizes) if p[0] != p[1]]
-        if not keep:
-            continue
-        table = algorithm.build_table([p for p, _ in keep])
-        total += simulate_phase_fluid(
-            table, [s for _, s in keep], config, engine=engine
-        ).duration
-    return total
 
 
 def crossbar_flows_time(
@@ -202,9 +172,12 @@ def crossbar_flows_time(
     that can be obtained in the absence of network contention".
     ``pairs`` are ``(src, dst)`` leaves (any ``(F, 2)`` integer
     array-like) and ``sizes`` the F message sizes; self-pairs move no
-    network bytes and are dropped.
+    network bytes and are dropped.  An endpoint outside ``[0,
+    num_leaves)`` raises.
     """
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if ((arr < 0) | (arr >= num_leaves)).any():
+        raise ValueError(f"crossbar endpoint outside leaves 0..{num_leaves - 1}")
     sizes = np.asarray(sizes, dtype=np.float64)
     keep = arr[:, 0] != arr[:, 1]
     arr, sizes = arr[keep], sizes[keep]
@@ -212,29 +185,29 @@ def crossbar_flows_time(
         return 0.0
     space = crossbar_link_space(num_leaves)
     ids = np.arange(len(arr), dtype=np.int64)
-    sim = make_fluid_simulator(engine, space.num_links, config.link_bandwidth)
-    sim.add_flows(
-        ids,
+    return _makespan(
+        space.num_links,
         sizes,
         np.concatenate((ids, ids)),
         np.concatenate((space.injection_base + arr[:, 0], space.ejection_base + arr[:, 1])),
+        config,
+        engine,
     )
-    return sim.run_until_idle()
 
 
 def crossbar_phase_time(
     phase: Phase,
     num_leaves: int,
     config: NetworkConfig = PAPER_CONFIG,
-    mapping: Sequence[int] | None = None,
     engine: str = DEFAULT_ENGINE,
 ) -> float:
-    """Full-Crossbar time of a phase whose ranks sit on ``mapping``'s
-    leaves (identity by default); see :func:`crossbar_flows_time`."""
-    leaf = np.arange(num_leaves) if mapping is None else np.asarray(list(mapping), dtype=np.int64)
-    pairs = leaf[np.asarray([f.pair for f in phase.flows], dtype=np.int64).reshape(-1, 2)]
+    """Full-Crossbar time of one phase; see :func:`crossbar_flows_time`."""
     return crossbar_flows_time(
-        pairs, [f.size for f in phase.flows], num_leaves, config, engine=engine
+        [f.pair for f in phase.flows],
+        [f.size for f in phase.flows],
+        num_leaves,
+        config,
+        engine=engine,
     )
 
 
@@ -242,11 +215,10 @@ def crossbar_pattern_time(
     pattern: Pattern,
     num_leaves: int,
     config: NetworkConfig = PAPER_CONFIG,
-    mapping: Sequence[int] | None = None,
     engine: str = DEFAULT_ENGINE,
 ) -> float:
     """Total Full-Crossbar time of a multi-phase pattern."""
     return sum(
-        crossbar_phase_time(phase, num_leaves, config, mapping, engine=engine)
+        crossbar_phase_time(phase, num_leaves, config, engine=engine)
         for phase in pattern.phases
     )

@@ -2,7 +2,7 @@
 substitute): IO-buffered switches, credit flow control, round-robin
 arbitration and adapter interleaving (Sec. VI-B)."""
 
-from .engine import VenusPhaseResult, VenusSimulator
+from .engine import VenusResult, VenusSimulator
 from .messages import Message, Segment
 
-__all__ = ["VenusSimulator", "VenusPhaseResult", "Message", "Segment"]
+__all__ = ["VenusSimulator", "VenusResult", "Message", "Segment"]

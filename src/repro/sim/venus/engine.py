@@ -36,13 +36,13 @@ from ..config import NetworkConfig, PAPER_CONFIG
 from ..events import EventQueue
 from .messages import Message, Segment
 
-__all__ = ["VenusSimulator", "VenusPhaseResult"]
+__all__ = ["VenusSimulator", "VenusResult"]
 
 _HOST_FEEDER_BASE = 1 << 40  # feeder ids for adapter message queues
 
 
 @dataclass(frozen=True)
-class VenusPhaseResult:
+class VenusResult:
     """Timing of one flit-level phase simulation."""
 
     duration: float
@@ -272,7 +272,7 @@ class VenusSimulator:
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
-    def run(self, max_events: int | None = None) -> VenusPhaseResult:
+    def run(self, max_events: int | None = None) -> VenusResult:
         """Drain the event queue; returns per-message completion times."""
         if max_events is None:
             total_seg_hops = sum(
@@ -286,7 +286,7 @@ class VenusSimulator:
                 f"messages {unfinished[:5]}... did not complete; "
                 "possible routing/credit inconsistency"
             )
-        return VenusPhaseResult(
+        return VenusResult(
             duration=end,
             message_finish={m.msg_id: float(m.finish_time) for m in self._messages},
             events_processed=self.queue.processed,

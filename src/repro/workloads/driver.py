@@ -78,8 +78,8 @@ class DriverStats:
     kept utilization snapshot forces first counts as snapshot time.
     ``engine`` is the engine's :meth:`telemetry()
     <repro.sim.fluid.FluidSimulator.telemetry>` dict (recomputes,
-    fill_rounds, frozen_links, compactions, active_flows_hwm; the
-    incremental engine adds partial/full refill counters — see
+    fill_rounds, compactions, active_flows_hwm; the incremental engine
+    adds partial/full refill counters — see
     :meth:`repro.sim.fluid_inc.IncFluidSimulator.telemetry`).
     ``recomputes`` is ``None`` — not 0 — when the engine exposes no
     such counter: "never refilled" and "not instrumented" are

@@ -14,7 +14,7 @@ from repro.contention import (
     load_histogram,
     max_network_contention,
 )
-from repro.core import Colored, DModK, SModK
+from repro.core import DModK, SModK
 from repro.patterns import cg_transpose_exchange, hotspot, wrf_exchange
 from repro.topology import XGFT
 

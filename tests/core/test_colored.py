@@ -136,7 +136,7 @@ class TestEndpointAwareObjective:
             if not aware:
                 counts[:host_up] = 0
                 counts[base : base + host_up] = 0
-            actual = simulate_phase_fluid(table, [msg] * len(table)).duration
+            actual = simulate_phase_fluid(table, [msg] * len(table))
             out[aware] = (int(counts.max()), actual / (msg / 0.25e9))
         (pred_aware, actual_aware), (pred_blind, actual_blind) = out[True], out[False]
         assert pred_aware == pytest.approx(actual_aware, rel=1e-6)

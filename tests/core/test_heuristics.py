@@ -8,7 +8,7 @@ import pytest
 
 from repro.contention import max_network_contention, pattern_contention_level
 from repro.core import AutoModK, BestOfKRNCA, DModK, RNCADown, SModK, make_algorithm
-from repro.patterns import Permutation, cg_pattern, hotspot, wrf_pattern
+from repro.patterns import cg_pattern, hotspot
 from repro.topology import XGFT
 
 
@@ -141,34 +141,28 @@ class TestBestOfKRNCA:
 
     def test_still_avoids_cg_pathology(self):
         """The selected scheme keeps the r-NCA benefit on CG."""
-        from repro.experiments import crossbar_time, slowdown
+        from repro.api import Scenario, compare
 
-        topo16 = XGFT((16, 16), (1, 16))
-        pattern = cg_pattern(128)
-        t_ref = crossbar_time(pattern, 256)
-        best = slowdown(topo16, "r-nca-best", pattern, seed=0, k=4, probes=4,
-                        reference_time=t_ref)
-        dmodk = slowdown(topo16, "d-mod-k", pattern, reference_time=t_ref)
-        assert best < dmodk
+        base = Scenario(XGFT((16, 16), (1, 16)), cg_pattern(128), "r-nca-best(k=4,probes=4)")
+        best, dmodk = compare([base, base.with_(algorithm="d-mod-k")], ("slowdown",)).results
+        assert best["slowdown"] < dmodk["slowdown"]
 
     def test_selection_trims_the_cg_worst_case(self):
         """Over ten seeds on CG.D the selected scheme's worst case is no
         worse than plain r-NCA-d's, and its median keeps the benefit
         over D-mod-k's 2.2 pathology."""
-        from repro.experiments import box_stats, crossbar_time, slowdown
+        from repro.api import Scenario, compare
+        from repro.experiments import box_stats
 
         topo16 = XGFT((16, 16), (1, 16))
         pattern = cg_pattern(128)
-        t_ref = crossbar_time(pattern, 256)
-        plain, selected = [], []
-        for s in range(10):
-            plain.append(slowdown(topo16, "r-nca-d", pattern, seed=s, reference_time=t_ref))
-            selected.append(
-                slowdown(
-                    topo16, "r-nca-best", pattern, seed=s, k=6, probes=8, reference_time=t_ref
-                )
-            )
-        plain, selected = box_stats(plain), box_stats(selected)
+
+        def slowdowns(spec):
+            scenarios = [Scenario(topo16, pattern, spec, seed=s) for s in range(10)]
+            return [r["slowdown"] for r in compare(scenarios, ("slowdown",)).results]
+
+        plain = box_stats(slowdowns("r-nca-d"))
+        selected = box_stats(slowdowns("r-nca-best(k=6,probes=8)"))
         assert selected.maximum <= plain.maximum + 1e-9
         assert selected.median < 2.2
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RelabelMaps, balanced_random_map, mod_map
-from repro.topology import XGFT
 from tests.helpers import xgft_examples
 
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Route, RouteError
-from repro.topology import XGFT
 from tests.helpers import xgft_examples
 
 

@@ -9,7 +9,6 @@ from repro.dimemas import (
     Barrier,
     Compute,
     CrossbarTransferNetwork,
-    FluidTransferNetwork,
     Irecv,
     Isend,
     Recv,

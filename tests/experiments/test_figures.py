@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Scenario
 from repro.contention import pattern_contention_level
 from repro.core import DModK, SModK
 from repro.experiments import (
@@ -30,7 +31,6 @@ from repro.experiments import (
     format_sweep,
     format_table1,
     run_sweep,
-    slowdown,
     table1,
 )
 from repro.patterns import cg_pattern, uniform_random_pairs
@@ -277,27 +277,18 @@ class TestEquivalence:
             assert c_s == pattern_contention_level(dmodk, inverse), seed
 
 
-class TestSlowdownHelper:
-    def test_reference_shortcut_consistent(self):
-        pat = cg_pattern(128)
-        topo = slimmed_two_level(16, 16, 8)
-        direct = slowdown(topo, "d-mod-k", pat)
-        from repro.experiments import crossbar_time
-
-        cached = slowdown(topo, "d-mod-k", pat, reference_time=crossbar_time(pat, 256))
-        assert direct == pytest.approx(cached)
-
+class TestSlowdownMetric:
     def test_replay_engine_agrees_with_fluid(self):
         """The two execution modes agree on the paper's workloads."""
-        pat = cg_pattern(32)
-        topo = XGFT((16, 16), (1, 16))
-        f = slowdown(topo, "d-mod-k", pat, engine="fluid")
-        r = slowdown(topo, "d-mod-k", pat, engine="replay")
+        scenario = Scenario(XGFT((16, 16), (1, 16)), cg_pattern(32), "d-mod-k")
+        f = scenario.evaluate(metrics=("slowdown",), engine="fluid")["slowdown"]
+        r = scenario.evaluate(metrics=("slowdown",), engine="replay")["slowdown"]
         assert f == pytest.approx(r, rel=0.05)
 
     def test_unknown_engine(self):
+        scenario = Scenario(slimmed_two_level(), cg_pattern(32), "d-mod-k")
         with pytest.raises(ValueError):
-            slowdown(slimmed_two_level(), "d-mod-k", cg_pattern(32), engine="bogus")  # repro: noqa[REP010] deliberately unknown: error-path test
+            scenario.evaluate(metrics=("slowdown",), engine="bogus")  # repro: noqa[REP010] deliberately unknown: error-path test
 
     def test_degenerate_pattern_slowdown_is_one(self):
         """Regression: a pattern whose every flow is a self-pair moves
@@ -309,19 +300,16 @@ class TestSlowdownHelper:
         degenerate = Pattern(
             (Phase(tuple(Flow(i, i, 100) for i in range(4))),), name="self-only"
         )
-        assert slowdown(topo, "d-mod-k", degenerate) == 1.0
+        assert Scenario(topo, degenerate, "d-mod-k").evaluate(("slowdown",))["slowdown"] == 1.0
         # a pattern with no flows at all stays an error (caller bug)
+        empty = Scenario(topo, Pattern((Phase(()),), name="empty"), "d-mod-k")
         with pytest.raises(ValueError, match="reference time"):
-            slowdown(topo, "d-mod-k", Pattern((Phase(()),), name="empty"))
-        # as does an explicit zero reference with real network time
-        with pytest.raises(ValueError, match="reference time"):
-            slowdown(slimmed_two_level(), "d-mod-k", cg_pattern(32), reference_time=0.0)
+            empty.evaluate(metrics=("slowdown",))
 
     def test_replay_engine_prepares_pattern_aware_schemes(self):
         """Regression: the replay path must hand the pattern to Colored
         before routing (otherwise it silently falls back to d-mod-k and
         reports the pathological 2.2 instead of ~1.0)."""
-        pat = cg_pattern(128)
-        topo = slimmed_two_level(16, 16, 16)
-        via_replay = slowdown(topo, "colored", pat, engine="replay")
+        scenario = Scenario(slimmed_two_level(16, 16, 16), cg_pattern(128), "colored")
+        via_replay = scenario.evaluate(metrics=("slowdown",), engine="replay")["slowdown"]
         assert via_replay == pytest.approx(1.0, rel=0.05)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import BoxStats, box_stats
+from repro.experiments import box_stats
 
 
 class TestBoxStats:

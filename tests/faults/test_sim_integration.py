@@ -35,9 +35,7 @@ class TestFluidDegraded:
 
     def test_accepts_repaired_table(self, scenario):
         topo, deg, _, repaired = scenario
-        result = simulate_phase_fluid(repaired, [1000.0] * len(repaired), CONFIG, degraded=deg)
-        assert result.duration > 0
-        assert len(result.flow_finish) == len(repaired)
+        assert simulate_phase_fluid(repaired, [1000.0] * len(repaired), CONFIG, degraded=deg) > 0
 
 
 class TestVenusDegraded:

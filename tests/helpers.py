@@ -8,12 +8,15 @@ collection; a regular module keeps them importable everywhere.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.patterns import Flow, Pattern, Phase
 from repro.topology import XGFT
 
-__all__ = ["xgft_strategy", "xgft_examples", "leaf_pairs", "rng"]
+__all__ = ["xgft_strategy", "xgft_examples", "leaf_pairs", "placed", "rng"]
 
 
 def xgft_strategy(max_h: int = 3, max_m: int = 5, max_w: int = 5, max_leaves: int = 256):
@@ -61,6 +64,17 @@ def leaf_pairs(draw, topo: XGFT):
     if dst >= src:
         dst += 1
     return src, dst
+
+
+def placed(pattern: Pattern, leaf: Sequence[int]) -> Pattern:
+    """``pattern`` with rank ``r`` running on leaf ``leaf[r]``."""
+    return Pattern(
+        tuple(
+            Phase(tuple(Flow(leaf[f.src], leaf[f.dst], f.size) for f in ph.flows), name=ph.name)
+            for ph in pattern.phases
+        ),
+        name=f"placed({pattern.name})",
+    )
 
 
 def rng(seed: int = 0) -> np.random.Generator:

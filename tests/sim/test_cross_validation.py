@@ -20,7 +20,7 @@ from repro.topology import XGFT
 def _phase_times(topo, alg, pairs, size, cfg, engine="fluid"):
     table = alg.build_table(pairs)
     sizes = [size] * len(table)
-    fluid = simulate_phase_fluid(table, sizes, cfg, engine=engine).duration
+    fluid = simulate_phase_fluid(table, sizes, cfg, engine=engine)
     sim = VenusSimulator(topo, cfg)
     sim.inject_table(table, sizes)
     venus = sim.run().duration
@@ -123,8 +123,8 @@ class TestBothEnginesAgainstVenus:
         pairs = cg_transpose_exchange(128)
         table = DModK(topo).build_table(pairs)
         sizes = [64 * 1024] * len(table)
-        scalar = simulate_phase_fluid(table, sizes, cfg, engine="fluid").duration
-        vec = simulate_phase_fluid(table, sizes, cfg, engine="fluid-vec").duration
+        scalar = simulate_phase_fluid(table, sizes, cfg, engine="fluid")
+        vec = simulate_phase_fluid(table, sizes, cfg, engine="fluid-vec")
         assert vec == pytest.approx(scalar, rel=1e-9)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -139,9 +139,7 @@ class TestBothEnginesAgainstVenus:
         repaired = repair_table(table, deg, seed=0)
         assert repaired.num_broken > 0 and repaired.num_disconnected == 0
         sizes = [32 * 1024] * len(repaired.table)
-        fluid = simulate_phase_fluid(
-            repaired.table, sizes, cfg, degraded=deg, engine=engine
-        ).duration
+        fluid = simulate_phase_fluid(repaired.table, sizes, cfg, degraded=deg, engine=engine)
         sim = VenusSimulator(topo, cfg, degraded=deg)
         sim.inject_table(repaired.table, sizes)
         venus = sim.run().duration

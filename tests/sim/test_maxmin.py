@@ -88,15 +88,13 @@ class TestKernel:
     @settings(max_examples=100, deadline=None)
     def test_entry_and_column_order_do_not_matter(self, inst, order_seed):
         num_links, cap, _, lm = inst
-        derived = progressive_fill(lm, cap, count_frozen=True)
+        derived = progressive_fill(lm, cap)
         rng = np.random.default_rng(order_seed)
         perm = rng.permutation(len(derived.e_f))
         shuffled_cols = np.array([row[rng.permutation(len(row))] for row in lm])
-        given_coo = progressive_fill(
-            shuffled_cols, cap, (derived.e_f[perm], derived.e_l[perm]), count_frozen=True
-        )
+        given_coo = progressive_fill(shuffled_cols, cap, (derived.e_f[perm], derived.e_l[perm]))
         assert np.array_equal(given_coo.rates, derived.rates)
-        assert given_coo[3:] == derived[3:]  # rounds, frozen links, compactions
+        assert given_coo[3:] == derived[3:]  # rounds, compactions
 
     @given(inst=instances())
     @settings(max_examples=50, deadline=None)
@@ -108,14 +106,13 @@ class TestKernel:
 
     @given(inst=instances())
     @settings(max_examples=150, deadline=None)
-    def test_frozen_links_match_a_direct_count(self, inst):
-        """The kernel derives each round's frozen-link count from two
-        nonzero counts; a per-flow reference fill counts the used,
-        unblocked links directly."""
+    def test_rounds_match_a_reference_fill(self, inst):
+        """A per-flow reference fill freezes, each round, every flow
+        with an unblocked link; the kernel takes as many rounds."""
         num_links, cap, flows, lm = inst
         remaining = cap.astype(np.float64).copy()
         unfrozen = set(range(len(flows)))
-        rounds = frozen_links = 0
+        rounds = 0
         while unfrozen:
             counts = np.zeros(num_links)
             for i in unfrozen:
@@ -127,24 +124,20 @@ class TestKernel:
             for i in unfrozen:
                 blocked[flows[i][bottleneck[i] < shares[flows[i]] - 1e-9]] = True
             rounds += 1
-            frozen_links += int((~blocked & (counts > 0)).sum())
             for i in [i for i in unfrozen if not blocked[flows[i]].all()]:
                 remaining[flows[i]] -= max(bottleneck[i], 0.0)
                 unfrozen.discard(i)
             np.maximum(remaining, 0.0, out=remaining)
-        fill = progressive_fill(lm, cap, count_frozen=True)
-        assert (fill.rounds, fill.frozen_links) == (rounds, frozen_links)
+        assert progressive_fill(lm, cap).rounds == rounds
 
     def test_counters(self):
         # two flows share link 0; flow 1 alone also crosses the tighter
         # link 1, so it freezes first and flow 0 takes the rest
         lm = np.asarray([[0, 2], [0, 1]])
-        fill = progressive_fill(lm, np.asarray([3.0, 1.0]), count_frozen=True)
+        fill = progressive_fill(lm, np.asarray([3.0, 1.0]))
         assert fill.rates.tolist() == [2.0, 1.0]
         assert fill.rounds == 2
-        assert fill.frozen_links == 2
         assert fill.compactions == 1  # flow 0 alone is half the working set
-        assert progressive_fill(lm, np.asarray([3.0, 1.0])).frozen_links == 0
 
 
 class TestEnginesShareTheKernel:

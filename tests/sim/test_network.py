@@ -1,22 +1,22 @@
-"""Tests for the link-space glue, phase driver and crossbar reference."""
+"""Tests for the link-space glue, phase makespan and crossbar reference."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Colored, DModK, SModK
+from repro.api import Scenario, compare
+from repro.core import DModK
 from repro.patterns import Pattern, Phase, cg_pattern, hotspot, wrf_pattern
 from repro.sim import (
     PAPER_CONFIG,
-    NetworkConfig,
     crossbar_link_space,
     crossbar_pattern_time,
     crossbar_phase_time,
-    simulate_pattern_fluid,
     simulate_phase_fluid,
     xgft_link_space,
 )
 from repro.topology import XGFT
+from tests.helpers import placed
 
 
 @pytest.fixture
@@ -65,6 +65,11 @@ class TestCrossbarReference:
         phase = Phase.from_pairs([(0, 0)], size=10)
         assert crossbar_phase_time(phase, 2) == 0.0
 
+    def test_endpoint_outside_the_machine_raises(self):
+        phase = Phase.from_pairs([(0, 4)], size=10)
+        with pytest.raises(ValueError, match="outside leaves 0..3"):
+            crossbar_phase_time(phase, 4)
+
     def test_pattern_sums_phases(self):
         pat = Pattern(
             (
@@ -81,14 +86,14 @@ class TestPhaseOnXGFT:
     def test_uncontended_equals_crossbar(self, topo):
         """A single inter-switch flow takes exactly the line-rate time."""
         table = DModK(topo).build_table([(0, 16)])
-        res = simulate_phase_fluid(table, [1000])
-        assert res.duration == pytest.approx(1000 / PAPER_CONFIG.link_bandwidth)
+        t = simulate_phase_fluid(table, [1000])
+        assert t == pytest.approx(1000 / PAPER_CONFIG.link_bandwidth)
 
     def test_contended_uplink_doubles(self, topo):
         """Two distinct-endpoint flows on one uplink: twice the time."""
         table = DModK(topo).build_table([(0, 32), (1, 48)])  # both r1 = 0
-        res = simulate_phase_fluid(table, [1000, 1000])
-        assert res.duration == pytest.approx(2000 / PAPER_CONFIG.link_bandwidth)
+        t = simulate_phase_fluid(table, [1000, 1000])
+        assert t == pytest.approx(2000 / PAPER_CONFIG.link_bandwidth)
 
     def test_sizes_shape_checked(self, topo):
         table = DModK(topo).build_table([(0, 16)])
@@ -101,10 +106,9 @@ class TestPatternSlowdowns:
 
     def test_wrf_modk_matches_crossbar(self, topo):
         pat = wrf_pattern(256)
-        t_ref = crossbar_pattern_time(pat, 256)
-        for alg in (SModK(topo), DModK(topo)):
-            t = simulate_pattern_fluid(topo, alg, pat)
-            assert t / t_ref == pytest.approx(1.0, rel=1e-6)
+        base = Scenario(topo, pat, "s-mod-k")
+        for result in compare([base, base.with_(algorithm="d-mod-k")], ("slowdown",)).results:
+            assert result["slowdown"] == pytest.approx(1.0, rel=1e-6)
 
     def test_cg_phase5_pathology_factor(self, topo):
         """The transpose phase runs ~7x slower under D-mod-k (paper: 8x)."""
@@ -112,33 +116,27 @@ class TestPatternSlowdowns:
         transpose = pat.phases[-1]
         pairs = [f.pair for f in transpose.flows]
         table = DModK(topo).build_table(pairs)
-        t = simulate_phase_fluid(table, [f.size for f in transpose.flows]).duration
+        t = simulate_phase_fluid(table, [f.size for f in transpose.flows])
         t_ref = crossbar_phase_time(transpose, 256)
         assert t / t_ref == pytest.approx(7.0, rel=1e-6)
 
     def test_colored_cg_near_crossbar(self, topo):
-        pat = cg_pattern(128)
-        t = simulate_pattern_fluid(topo, Colored(topo), pat)
-        t_ref = crossbar_pattern_time(pat, 256)
-        assert t / t_ref == pytest.approx(1.0, rel=1e-6)
+        result = Scenario(topo, cg_pattern(128), "colored").evaluate(metrics=("slowdown",))
+        assert result["slowdown"] == pytest.approx(1.0, rel=1e-6)
 
     def test_slimming_monotonic_for_wrf_modk(self):
         """Slimming can only hurt: slowdown rises as w2 falls."""
         pat = wrf_pattern(256)
-        t_ref = crossbar_pattern_time(pat, 256)
-        last = 0.0
-        for w2 in (16, 8, 4, 2, 1):
-            topo = XGFT((16, 16), (1, w2))
-            t = simulate_pattern_fluid(topo, SModK(topo), pat)
-            assert t / t_ref >= last - 1e-9
-            last = t / t_ref
-        assert last == pytest.approx(16.0, rel=1e-6)
+        scenarios = [Scenario(XGFT((16, 16), (1, w2)), pat, "s-mod-k") for w2 in (16, 8, 4, 2, 1)]
+        values = [r["slowdown"] for r in compare(scenarios, ("slowdown",)).results]
+        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(16.0, rel=1e-6)
 
     def test_mapping_changes_results(self, topo):
-        """A non-sequential mapping makes the local CG phases non-local."""
+        """A non-sequential placement makes the local CG phases non-local."""
         pat = cg_pattern(128)
-        seq = simulate_pattern_fluid(topo, DModK(topo), pat)
-        scattered = simulate_pattern_fluid(
-            topo, DModK(topo), pat, mapping=[(17 * r) % 256 for r in range(128)]
-        )
-        assert scattered != pytest.approx(seq)
+        scattered = placed(pat, [(17 * r) % 256 for r in range(128)])
+        seq, moved = compare(
+            [Scenario(topo, pat, "d-mod-k"), Scenario(topo, scattered, "d-mod-k")], ("sim_time",)
+        ).results
+        assert moved["sim_time"] != pytest.approx(seq["sim_time"])

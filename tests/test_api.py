@@ -124,6 +124,30 @@ class TestScenarioEvaluation:
         assert degraded.num_failed_cables == 2
         assert s.degraded() is degraded  # cached
 
+    def test_random_faults_route_nothing(self):
+        """A traffic-blind spec is realized without routing the pattern."""
+        s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k", faults="links:count=2,seed=1")
+        assert s.degraded().num_failed_cables == 2
+        assert s._cache.builds == 0
+
+    def test_dynamic_worst_links_realized_in_the_handed_cache(self):
+        """An adversarial dynamic scenario evaluated through a shared
+        cache builds its all-pairs table there, once; degraded() then
+        serves that realization without routing again."""
+        s = Scenario(
+            "XGFT(2;4,4;1,2)",
+            "none",
+            "d-mod-k",
+            faults="worst-links:count=2",
+            workload="poisson(load=0.5,flows=60)",
+        )
+        shared = RouteTableCache()
+        result = evaluate_scenario(s, cache=shared)
+        degraded = s.degraded()
+        assert (shared.builds, s._cache.builds) == (1, 0)
+        assert result.fault_info["failed_cables"] == degraded.num_failed_cables == 2
+        assert s.degraded() is degraded
+
     def test_metrics_default_and_custom_selection(self):
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k")
         assert set(s.evaluate().metrics) == {
@@ -162,17 +186,15 @@ class TestScenarioEvaluation:
 
 
 class TestSlowdownRule:
-    """The ``slowdown`` metric and :func:`repro.experiments.slowdown`
-    share one ratio rule (:func:`repro.metrics.slowdown_ratio`)."""
+    """The ``slowdown`` metric follows one ratio rule
+    (:func:`repro.metrics.slowdown_ratio`) on every engine."""
 
     TOPO = "XGFT(2;16,16;1,8)"
 
     @pytest.mark.parametrize("engine", ["fluid", "fluid-vec", "fluid-vec-inc", "replay"])
     def test_self_pair_pattern_is_one(self, engine):
         """Regression: every flow a self-pair moves no network bytes, so
-        t_net == t_ref == 0; the metric raised where the helper
-        returned the 1.0 convention."""
-        from repro.experiments import slowdown
+        t_net == t_ref == 0, and the slowdown is the 1.0 convention."""
         from repro.patterns.base import Flow, Pattern, Phase
 
         pattern = Pattern((Phase(tuple(Flow(i, i, 100) for i in range(8))),), name="self")
@@ -180,18 +202,14 @@ class TestSlowdownRule:
             metrics=("slowdown",), engine=engine
         )
         assert metric.metrics["slowdown"] == 1.0
-        assert slowdown(XGFT((16, 16), (1, 8)), "d-mod-k", pattern, engine=engine) == 1.0
 
     def test_zero_size_pattern_is_an_error(self):
-        """A pattern with no flows at all is a caller error on both paths."""
-        from repro.experiments import slowdown
+        """A pattern with no flows at all is a caller error."""
         from repro.patterns.base import Flow, Pattern, Phase
 
         empty = Pattern((Phase(()),), name="empty")
         with pytest.raises(ValueError, match="reference time"):
             Scenario(self.TOPO, empty, "d-mod-k").evaluate(metrics=("slowdown",))
-        with pytest.raises(ValueError, match="reference time"):
-            slowdown(XGFT((16, 16), (1, 8)), "d-mod-k", empty)
         # and a flow cannot carry zero bytes in the first place
         with pytest.raises(ValueError, match="non-positive size"):
             Flow(0, 17, 0)

@@ -14,7 +14,7 @@ import pytest
 
 from repro import metrics as repro_metrics
 from repro import obs
-from repro.api import Scenario
+from repro.api import Scenario, compare
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs import REGISTRY
 from repro.patterns import Pattern
@@ -117,6 +117,16 @@ def test_live_pattern_stays_out_of_the_process_memo(fresh_memo):
     Scenario(TOPO, live, "s-mod-k").evaluate(("slowdown",))
     assert len(fresh_memo) == 2
     assert len(repro_metrics._CROSSBAR_REFS) == 0
+
+
+def test_compare_shares_one_live_reference(fresh_memo):
+    """The scenarios of one ``compare`` call over a live pattern divide
+    by one crossbar reference, and get the slowdowns they get alone."""
+    live = Pattern.single_phase([(i, (i + 3) % 16) for i in range(16)], name="shift-3")
+    scenarios = [Scenario(TOPO, live, name) for name in ("d-mod-k", "s-mod-k", "random")]
+    shared = [r["slowdown"] for r in compare(scenarios, ("slowdown",)).results]
+    assert len(fresh_memo) == 1
+    assert shared == [s.with_().evaluate(("slowdown",))["slowdown"] for s in scenarios]
 
 
 def test_size_bound_evicts_least_recently_used(fresh_memo, monkeypatch):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Scenario
 from repro.contention import link_flow_counts, max_network_contention
 from repro.core import (
     DModK,
@@ -18,16 +19,11 @@ from repro.core import (
     build_forwarding_tables,
     make_algorithm,
 )
-from repro.dimemas import pattern_trace, replay_on_crossbar, replay_on_xgft
-from repro.experiments import crossbar_time, slowdown
+from repro.dimemas import pattern_trace, replay_on_xgft
 from repro.patterns import Pattern, cg_pattern, wrf_pattern
-from repro.sim import (
-    NetworkConfig,
-    VenusSimulator,
-    crossbar_pattern_time,
-    simulate_pattern_fluid,
-)
+from repro.sim import NetworkConfig, VenusSimulator
 from repro.topology import XGFT, slimmed_two_level
+from tests.helpers import placed
 
 
 class TestForwardingTablesDriveTheFlitEngine:
@@ -57,11 +53,10 @@ class TestReplayAgreesWithPhaseModel:
         two very different code paths)."""
         pattern = wrf_pattern(64, row=8) if app == "wrf" else cg_pattern(32)
         topo = XGFT((8, 8), (1, 4))
-        alg = DModK(topo)
-        t_phase = simulate_pattern_fluid(topo, alg, pattern)
+        t_phase = Scenario(topo, pattern, "d-mod-k").evaluate(metrics=("sim_time",))["sim_time"]
         mapping = list(range(pattern.num_ranks))
         trace = pattern_trace(pattern, barrier_between_phases=True)
-        t_replay = replay_on_xgft(trace, topo, alg, mapping=mapping).total_time
+        t_replay = replay_on_xgft(trace, topo, DModK(topo), mapping=mapping).total_time
         assert t_replay == pytest.approx(t_phase, rel=1e-9)
 
     def test_overlap_can_only_help(self):
@@ -85,13 +80,11 @@ class TestStaticMetricPredictsFluid:
             perm = rng.permutation(256)
             pairs = [(int(s), int(d)) for s, d in enumerate(perm) if s != d]
             pattern = Pattern.single_phase(pairs, size=100_000)
-            alg = make_algorithm("random", topo, seed=trial)
-            table = alg.build_table(pairs)
+            table = make_algorithm("random", topo, seed=trial).build_table(pairs)
             c = max_network_contention(table)
             max_flows = int(link_flow_counts(table).max())
-            t = simulate_pattern_fluid(topo, alg, pattern)
-            t_ref = crossbar_pattern_time(pattern, 256)
-            ratio = t / t_ref
+            scenario = Scenario(topo, pattern, "random", seed=trial)
+            ratio = scenario.evaluate(metrics=("slowdown",))["slowdown"]
             assert c <= ratio + 1e-9
             assert ratio == pytest.approx(max_flows, rel=1e-9)
 
@@ -100,28 +93,27 @@ class TestEveryAlgorithmEndToEnd:
     @pytest.mark.parametrize(
         "name",
         ["s-mod-k", "d-mod-k", "random", "r-nca-u", "r-nca-d", "colored",
-         "auto-mod-k", "r-nca-best"],
+         "auto-mod-k", "r-nca-best(k=2,probes=2)"],
     )
     def test_cg_slowdown_in_sane_range(self, name):
         """Every registered scheme routes CG.D-32 end to end with a
         slowdown in [1, single-root-bound]."""
-        topo = XGFT((8, 8), (1, 8))
-        pattern = cg_pattern(32)
-        kwargs = {"k": 2, "probes": 2} if name == "r-nca-best" else {}
-        value = slowdown(topo, name, pattern, seed=1, **kwargs)
+        scenario = Scenario(XGFT((8, 8), (1, 8)), cg_pattern(32), name, seed=1)
+        value = scenario.evaluate(metrics=("slowdown",))["slowdown"]
         assert 1.0 - 1e-9 <= value <= 8.0
 
     def test_mapping_consistency_across_engines(self):
-        """A scattered mapping yields identical totals from the phase model
-        and the replay engine (mapping plumbed through both paths)."""
+        """A scattered placement yields identical totals from the phase
+        model (the pattern relabelled onto the scattered leaves) and the
+        replay engine (the same ranks placed by its ``mapping``)."""
         topo = XGFT((8, 8), (1, 4))
         pattern = cg_pattern(16)
         mapping = [(r * 5) % 64 for r in range(16)]
         assert len(set(mapping)) == 16
-        alg = DModK(topo)
-        t_phase = simulate_pattern_fluid(topo, alg, pattern, mapping=mapping)
+        scenario = Scenario(topo, placed(pattern, mapping), "d-mod-k")
+        t_phase = scenario.evaluate(metrics=("sim_time",))["sim_time"]
         t_replay = replay_on_xgft(
-            pattern_trace(pattern), topo, alg, mapping=mapping
+            pattern_trace(pattern), topo, DModK(topo), mapping=mapping
         ).total_time
         assert t_replay == pytest.approx(t_phase, rel=1e-9)
 
@@ -129,6 +121,5 @@ class TestEveryAlgorithmEndToEnd:
 class TestCrossbarIsALowerBound:
     @pytest.mark.parametrize("name", ["s-mod-k", "random", "r-nca-d"])
     def test_no_scheme_beats_the_crossbar(self, name):
-        topo = XGFT((8, 8), (1, 8))
-        pattern = wrf_pattern(64, row=8)
-        assert slowdown(topo, name, pattern, seed=0) >= 1.0 - 1e-9
+        scenario = Scenario(XGFT((8, 8), (1, 8)), wrf_pattern(64, row=8), name)
+        assert scenario.evaluate(metrics=("slowdown",))["slowdown"] >= 1.0 - 1e-9

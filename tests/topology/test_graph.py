@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings
 
-from repro.topology import ascii_art, degree_histogram, kary_ntree, to_networkx
+from repro.topology import ascii_art, degree_histogram, to_networkx
 from tests.helpers import xgft_examples
 
 

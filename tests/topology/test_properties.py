@@ -5,7 +5,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.topology import (
-    XGFT,
     bisection_links,
     cost_summary,
     eq1_switch_count,
