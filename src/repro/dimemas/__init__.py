@@ -2,14 +2,13 @@
 
 * :mod:`repro.dimemas.trace` — trace records and text (de)serialization;
 * :mod:`repro.dimemas.tracegen` — synthetic WRF / NAS-CG trace builders;
-* :mod:`repro.dimemas.replay` — the replay engine and its network
-  couplings (fluid XGFT, crossbar);
+* :mod:`repro.dimemas.replay` — the replay engine and its one fluid
+  network (an XGFT or the crossbar, on the default fluid engine);
 * :mod:`repro.dimemas.busmodel` — the classic Dimemas bus model.
 """
 
 from .busmodel import BusTransferNetwork
 from .replay import (
-    CrossbarTransferNetwork,
     FluidTransferNetwork,
     ReplayEngine,
     ReplayResult,
@@ -46,7 +45,6 @@ __all__ = [
     "ReplayResult",
     "TransferNetwork",
     "FluidTransferNetwork",
-    "CrossbarTransferNetwork",
     "BusTransferNetwork",
     "replay_on_xgft",
     "replay_on_crossbar",

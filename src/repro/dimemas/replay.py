@@ -9,10 +9,14 @@ routes and on which transfers overlap.  This module is that coupling:
   waitall, barriers);
 * point-to-point transfers are handed to a *transfer network* — any
   object implementing :class:`TransferNetwork` — which simulates them
-  with whatever fidelity it provides (max-min fluid over an XGFT, the
-  ideal crossbar, or the classic Dimemas bus model in
-  :mod:`repro.dimemas.busmodel`);
-* the replay clock and the network clock advance in lockstep.
+  with whatever fidelity it provides: :class:`FluidTransferNetwork`
+  (max-min fluid over an XGFT or the ideal crossbar, on the default
+  fluid engine) or the classic Dimemas bus model in
+  :mod:`repro.dimemas.busmodel`;
+* the replay clock and the network clock advance in lockstep; every
+  rank due at the network's current instant steps before the network
+  is asked for its next completion, so the engine refills its rates
+  once per instant.
 
 Message matching uses (src, dst, tag) FIFO order — the MPI
 non-overtaking rule — and a transfer begins when *both* sides have
@@ -27,12 +31,12 @@ import math
 from abc import ABC, abstractmethod
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.base import RoutingAlgorithm
 from ..sim.config import NetworkConfig, PAPER_CONFIG
-from ..sim.fluid import FluidSimulator
-from ..sim.network import crossbar_link_space, xgft_link_space
+from ..sim.engines import DEFAULT_ENGINE, make_fluid_simulator
+from ..sim.network import LinkSpace, crossbar_link_space, xgft_link_space
 from ..topology import XGFT
 from .trace import (
     Barrier,
@@ -50,7 +54,6 @@ from .trace import (
 __all__ = [
     "TransferNetwork",
     "FluidTransferNetwork",
-    "CrossbarTransferNetwork",
     "ReplayResult",
     "ReplayEngine",
     "replay_on_xgft",
@@ -83,24 +86,29 @@ class TransferNetwork(ABC):
 
 
 class FluidTransferNetwork(TransferNetwork):
-    """Max-min fluid XGFT network for the replay engine.
+    """Max-min fluid network for the replay engine, on the default engine.
 
-    Routes come from a :class:`~repro.core.base.RoutingAlgorithm`;
-    ``mapping[rank]`` places ranks on leaves (sequential default).
+    A transfer crosses its ends' adapter links in ``space`` plus the
+    tree links ``tree_links(src_leaf, dst_leaf)`` returns; ``None`` is
+    the ideal crossbar (adapters only).  ``mapping[rank]`` places ranks
+    on leaves (sequential default).  A zero-byte transfer completes at
+    the instant it starts.
     """
 
     def __init__(
         self,
-        topo: XGFT,
-        algorithm: RoutingAlgorithm,
+        space: LinkSpace,
+        tree_links: Callable[[int, int], Iterable[int]] | None = None,
         config: NetworkConfig = PAPER_CONFIG,
         mapping: Sequence[int] | None = None,
     ):
-        self.topo = topo
-        self.algorithm = algorithm
-        self.space = xgft_link_space(topo)
-        self.sim = FluidSimulator(self.space.num_links, config.link_bandwidth)
-        self.mapping = list(mapping) if mapping is not None else list(range(topo.num_leaves))
+        self.space = space
+        self.tree_links = tree_links
+        self.sim = make_fluid_simulator(DEFAULT_ENGINE, space.num_links, config.link_bandwidth)
+        self.mapping = list(mapping) if mapping is not None else list(range(space.num_leaves))
+        # zero-byte transfers: the engines finish them inside add_flow
+        # and never report them from advance_to
+        self._instant: list[int] = []
 
     @property
     def now(self) -> float:
@@ -108,47 +116,18 @@ class FluidTransferNetwork(TransferNetwork):
 
     def start_transfer(self, transfer_id: int, src: int, dst: int, size: int) -> None:
         s, d = self.mapping[src], self.mapping[dst]
-        route = self.algorithm.route(s, d)
-        links = list(route.links(self.topo))
-        links.append(self.space.injection(s))
-        links.append(self.space.ejection(d))
+        links = [] if self.tree_links is None else list(self.tree_links(s, d))
+        links += (self.space.injection(s), self.space.ejection(d))
         self.sim.add_flow(transfer_id, links, float(size))
+        if size == 0:
+            self._instant.append(transfer_id)
 
     def next_completion_time(self) -> float | None:
-        return self.sim.next_completion_time()
+        return self.sim.now if self._instant else self.sim.next_completion_time()
 
     def advance_to(self, t: float) -> list[int]:
-        return [r.flow_id for r in self.sim.advance_to(t)]
-
-
-class CrossbarTransferNetwork(TransferNetwork):
-    """The ideal single-stage crossbar as a replay network."""
-
-    def __init__(
-        self,
-        num_leaves: int,
-        config: NetworkConfig = PAPER_CONFIG,
-        mapping: Sequence[int] | None = None,
-    ):
-        self.space = crossbar_link_space(num_leaves)
-        self.sim = FluidSimulator(self.space.num_links, config.link_bandwidth)
-        self.mapping = list(mapping) if mapping is not None else list(range(num_leaves))
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def start_transfer(self, transfer_id: int, src: int, dst: int, size: int) -> None:
-        s, d = self.mapping[src], self.mapping[dst]
-        self.sim.add_flow(
-            transfer_id, [self.space.injection(s), self.space.ejection(d)], float(size)
-        )
-
-    def next_completion_time(self) -> float | None:
-        return self.sim.next_completion_time()
-
-    def advance_to(self, t: float) -> list[int]:
-        return [r.flow_id for r in self.sim.advance_to(t)]
+        done, self._instant = self._instant, []
+        return done + [r.flow_id for r in self.sim.advance_to(t)]
 
 
 @dataclass(frozen=True)
@@ -158,10 +137,6 @@ class ReplayResult:
     total_time: float
     rank_finish: tuple[float, ...]
     num_transfers: int
-
-    @property
-    def makespan(self) -> float:
-        return self.total_time
 
 
 class _RankState:
@@ -198,32 +173,34 @@ class ReplayEngine:
         ready = self._ready
         for r in range(self.trace.num_ranks):
             heapq.heappush(ready, (0.0, r))
+        net = self.network
         iterations = 0
-        while ready or self.network.next_completion_time() is not None:
+        while True:
             iterations += 1
             if max_iterations is not None and iterations > max_iterations:
                 raise RuntimeError("replay exceeded its iteration budget")
             t_rank = ready[0][0] if ready else math.inf
-            t_net = self.network.next_completion_time()
-            t_net = math.inf if t_net is None else t_net
+            # a rank due at the network's current instant steps before the
+            # network is queried (no completion can come earlier), so the
+            # instant's transfers all start before the engine's one lazy
+            # refill
+            t_net = net.now if t_rank <= net.now else net.next_completion_time()
+            if t_net is None:
+                if not ready:
+                    break
+                t_net = math.inf
             if t_net < t_rank - _EPS:
-                for tid in self.network.advance_to(t_net):
+                for tid in net.advance_to(t_net):
                     self._complete_transfer(tid, t_net)
                 continue
-            if not ready:  # pragma: no cover - defensive
-                break
             t, rank = heapq.heappop(ready)
             # catch the network up to the rank event, absorbing any
             # completions that land exactly on the way
-            target = min(t, t_net)
-            for tid in self.network.advance_to(target):
-                self._complete_transfer(tid, self.network.now)
-            if self.network.now < t - _EPS:
-                heapq.heappush(ready, (t, rank))
-                continue
+            for tid in net.advance_to(min(t, t_net)):
+                self._complete_transfer(tid, net.now)
             self._step_rank(rank, t)
 
-        times = tuple(st.time for st in self._ranks)
+        times = tuple(float(st.time) for st in self._ranks)
         unfinished = [
             r
             for r, st in enumerate(self._ranks)
@@ -355,7 +332,10 @@ def replay_on_xgft(
     mapping: Sequence[int] | None = None,
 ) -> ReplayResult:
     """Replay a trace on an XGFT with a given routing scheme."""
-    return ReplayEngine(trace, FluidTransferNetwork(topo, algorithm, config, mapping)).run()
+    network = FluidTransferNetwork(
+        xgft_link_space(topo), lambda s, d: algorithm.route(s, d).links(topo), config, mapping
+    )
+    return ReplayEngine(trace, network).run()
 
 
 def replay_on_crossbar(
@@ -365,4 +345,5 @@ def replay_on_crossbar(
     mapping: Sequence[int] | None = None,
 ) -> ReplayResult:
     """Replay a trace on the ideal Full-Crossbar reference."""
-    return ReplayEngine(trace, CrossbarTransferNetwork(num_leaves, config, mapping)).run()
+    network = FluidTransferNetwork(crossbar_link_space(num_leaves), None, config, mapping)
+    return ReplayEngine(trace, network).run()

@@ -22,6 +22,7 @@ diffed and stored — one record per line::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 
+def _check_amount(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Compute:
     """Local computation for ``duration`` seconds."""
@@ -46,8 +52,7 @@ class Compute:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("compute duration must be >= 0")
+        _check_amount(self.duration, "compute duration")
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,9 @@ class Send:
     dst: int
     size: int
     tag: int = 0
+
+    def __post_init__(self):
+        _check_amount(self.size, "message size")
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,9 @@ class Isend:
     dst: int
     size: int
     tag: int = 0
+
+    def __post_init__(self):
+        _check_amount(self.size, "message size")
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,9 @@ class SendRecv:
     peer: int
     size: int
     tag: int = 0
+
+    def __post_init__(self):
+        _check_amount(self.size, "message size")
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,8 @@ class Trace:
             parts = line.split()
             try:
                 rank = int(parts[0])
+                if rank < 0:
+                    raise ValueError(f"negative rank {rank}")
                 op = parts[1]
                 rec: Record
                 if op == "compute":
@@ -203,7 +219,7 @@ class Trace:
                 else:
                     raise ValueError(f"unknown op {op!r}")
             except (IndexError, ValueError) as exc:
-                raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
+                raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
             programs.setdefault(rank, []).append(rec)
             max_rank = max(max_rank, rank)
         return Trace([programs.get(r, []) for r in range(max_rank + 1)])

@@ -237,11 +237,10 @@ def _simulate(ctx: EvalContext) -> float:
     if ctx.degraded is not None:
         # replay cannot drop flows: an MPI trace with a disconnected pair
         # would simply deadlock, so reject early with a diagnostic
-        routed = sum(len(t) for t in ctx.tables)
-        offered = sum(len(p) for p, _ in phase_pairs(ctx.pattern))
-        if routed < offered:
+        lost = ctx.fault_info["disconnected_flows"]
+        if lost:
             raise ValueError(
-                f"{ctx.label}: {offered - routed} flow(s) disconnected by "
+                f"{ctx.label}: {lost} flow(s) disconnected by "
                 f"{ctx.faults_label!r}; the replay engine cannot drop flows — use "
                 "the fluid engine for lossy fault scenarios"
             )

@@ -28,7 +28,9 @@ Two engine *kinds* exist:
   filling kernel of :mod:`repro.sim.maxmin` — see
   ``docs/performance.md``.
 * ``"replay"`` — the Dimemas-substitute trace replay; it drives whole
-  patterns causally and has no per-phase simulator factory.
+  patterns causally and has no per-phase simulator factory.  Its
+  transfer network (:class:`repro.dimemas.FluidTransferNetwork`) runs
+  on :data:`DEFAULT_ENGINE`, so this module builds every simulator.
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ class FluidSimulator:
 
     Usage: :meth:`add_flow` at the current time, then either
     :meth:`run_until_idle` (batch) or repeated
-    :meth:`advance_to_next_completion` (interactive, e.g. from the
-    replay engine).
+    :meth:`advance_to_next_completion` (interactive).  It is the test
+    oracle of the vectorized engines and of the replay run on them.
     """
 
     def __init__(self, num_links: int, capacity: float | np.ndarray):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import DModK, SModK
+from repro.core import DModK, SModK, make_algorithm
 from repro.dimemas import (
     Barrier,
+    BusTransferNetwork,
     Compute,
-    CrossbarTransferNetwork,
+    FluidTransferNetwork,
     Irecv,
     Isend,
     Recv,
@@ -20,14 +24,15 @@ from repro.dimemas import (
     replay_on_crossbar,
     replay_on_xgft,
 )
-from repro.sim import PAPER_CONFIG
+from repro.sim import PAPER_CONFIG, FluidSimulator
+from repro.sim.network import crossbar_link_space, xgft_link_space
 from repro.topology import XGFT
 
 BW = PAPER_CONFIG.link_bandwidth
 
 
 def run_xbar(trace, n=4):
-    return ReplayEngine(trace, CrossbarTransferNetwork(n)).run()
+    return ReplayEngine(trace, FluidTransferNetwork(crossbar_link_space(n))).run()
 
 
 class TestBasicSemantics:
@@ -98,6 +103,19 @@ class TestBasicSemantics:
         res = run_xbar(tr)
         assert res.num_transfers == 2
 
+    def test_zero_byte_message_completes_at_once(self):
+        """Regression: the fluid engines finish a zero-byte flow inside
+        ``add_flow``, so the network must report it itself — else both
+        ranks wait forever and the replay reports a deadlock."""
+        tr = Trace([[Send(1, 0)], [Recv(0)]])
+        assert replay_on_crossbar(tr, 2).total_time == 0.0
+        topo = XGFT((4, 4), (1, 2))
+        assert replay_on_xgft(tr, topo, DModK(topo)).total_time == 0.0
+        assert ReplayEngine(tr, BusTransferNetwork(2)).run().total_time == 0.0
+        # an empty message still orders the sender's next one
+        tr = Trace([[Compute(1.0), Send(1, 0), Send(1, 1000)], [Recv(0), Recv(0)]])
+        assert run_xbar(tr, 2).rank_finish == (1.0 + 1000 / BW, 1.0 + 1000 / BW)
+
 
 class TestBarrier:
     def test_barrier_aligns_ranks(self):
@@ -165,4 +183,80 @@ class TestIterationBudget:
     def test_budget_guard(self):
         tr = Trace([[Compute(0.1) for _ in range(100)]])
         with pytest.raises(RuntimeError, match="budget"):
-            ReplayEngine(tr, CrossbarTransferNetwork(1)).run(max_iterations=5)
+            ReplayEngine(tr, FluidTransferNetwork(crossbar_link_space(1))).run(max_iterations=5)
+
+
+def random_trace(seed: int, n: int, barrier: bool, compute: bool) -> Trace:
+    """A deadlock-free random trace: phases of Isend/Irecv/WaitAll or
+    of pairwise SendRecv, some messages empty, optional compute records
+    and barriers between phases."""
+    rng = np.random.default_rng(seed)
+    progs: list[list] = [[] for _ in range(n)]
+
+    def size() -> int:
+        return 0 if rng.random() < 0.15 else int(rng.integers(1, 200_000))
+
+    for tag in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.3:
+            perm = rng.permutation(n).tolist()
+            for a, b in zip(perm[0::2], perm[1::2]):
+                nbytes = size()
+                progs[a].append(SendRecv(b, nbytes, tag))
+                progs[b].append(SendRecv(a, nbytes, tag))
+        else:
+            sends: list[list] = [[] for _ in range(n)]
+            recvs: list[list] = [[] for _ in range(n)]
+            for _ in range(int(rng.integers(1, 2 * n))):
+                s, d = rng.choice(n, 2, replace=False).tolist()
+                sends[s].append(Isend(d, size(), tag))
+                recvs[d].append(Irecv(s, tag))
+            for r in range(n):
+                progs[r] += recvs[r] + sends[r]
+                if recvs[r] or sends[r]:
+                    progs[r].append(WaitAll())
+        for r in range(n):
+            if compute and rng.random() < 0.5:
+                progs[r].append(Compute(float(rng.uniform(0.0, 2e-4))))
+            if barrier:
+                progs[r].append(Barrier())
+    return Trace(progs)
+
+
+class TestDefaultEngineMatchesScalarOracle:
+    """Replay on the default engine equals replay on the scalar
+    ``FluidSimulator`` swapped into the same network (the allocation is
+    unique, so only float noise may differ)."""
+
+    TOPO = XGFT((8, 8), (1, 4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 5, 16]),
+        barrier=st.booleans(),
+        compute=st.booleans(),
+        on_tree=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_finish_matches(self, seed, n, barrier, compute, on_tree):
+        trace = random_trace(seed, n, barrier, compute)
+        rng = np.random.default_rng(seed)
+        mapping = rng.choice(self.TOPO.num_leaves, n, replace=False).tolist()
+        alg = make_algorithm("random", self.TOPO, seed=seed % 7)
+        finish = []
+        for oracle in (False, True):
+            if on_tree:
+                net = FluidTransferNetwork(
+                    xgft_link_space(self.TOPO),
+                    lambda s, d: alg.route(s, d).links(self.TOPO),
+                    mapping=mapping,
+                )
+            else:
+                net = FluidTransferNetwork(
+                    crossbar_link_space(self.TOPO.num_leaves), mapping=mapping
+                )
+            if oracle:
+                net.sim = FluidSimulator(net.space.num_links, PAPER_CONFIG.link_bandwidth)
+            res = ReplayEngine(trace, net).run()
+            assert all(type(t) is float for t in res.rank_finish)
+            finish.append(res.rank_finish)
+        assert finish[0] == pytest.approx(finish[1], rel=1e-9, abs=1e-15)

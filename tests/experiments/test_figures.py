@@ -283,7 +283,15 @@ class TestSlowdownMetric:
         scenario = Scenario(XGFT((16, 16), (1, 16)), cg_pattern(32), "d-mod-k")
         f = scenario.evaluate(metrics=("slowdown",), engine="fluid")["slowdown"]
         r = scenario.evaluate(metrics=("slowdown",), engine="replay")["slowdown"]
-        assert f == pytest.approx(r, rel=0.05)
+        assert f == pytest.approx(r, rel=1e-9)
+
+    def test_replay_engine_returns_floats(self):
+        """Replay's times are plain floats, like the fluid path's, not
+        ``np.float64``."""
+        scenario = Scenario(XGFT((8, 8), (1, 4)), cg_pattern(16), "random")
+        metric = scenario.evaluate(metrics=("sim_time", "slowdown"), engine="replay")
+        assert type(metric["sim_time"]) is float
+        assert type(metric["slowdown"]) is float
 
     def test_unknown_engine(self):
         scenario = Scenario(slimmed_two_level(), cg_pattern(32), "d-mod-k")

@@ -13,7 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario
+from repro.core import make_algorithm
+from repro.dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace
 from repro.experiments import SweepSpec, run_sweep
+from repro.patterns import cg_pattern, wrf_pattern
+from repro.sim import PAPER_CONFIG, FluidSimulator
+from repro.sim.network import xgft_link_space
+from repro.topology import XGFT
 
 #: two trees x three patterns x four schemes x two seeds (36 cells)
 SWEEP = SweepSpec(
@@ -74,3 +80,23 @@ def test_stream_reaches_every_refill_path(engine_work):
     assert engine_work["recomputes"] == (
         engine_work["partial_refills"] + engine_work["full_refills"]
     )
+
+
+#: refills of one barrier-phased replay on XGFT(2;16,16;1,8) under
+#: random routing (seed 0): the replay steps every rank due at an
+#: instant before it asks the network for its next completion, so the
+#: engine refills once per instant, not once per rank step (260 and 325)
+MAX_REPLAY_REFILLS = {"wrf-256": 21, "cg-128": 18}
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["default-engine", "scalar"])
+@pytest.mark.parametrize("app", sorted(MAX_REPLAY_REFILLS))
+def test_replay_refills_once_per_instant(app, oracle):
+    topo = XGFT((16, 16), (1, 8))
+    alg = make_algorithm("random", topo, seed=0)
+    pattern = wrf_pattern(256) if app == "wrf-256" else cg_pattern(128)
+    net = FluidTransferNetwork(xgft_link_space(topo), lambda s, d: alg.route(s, d).links(topo))
+    if oracle:
+        net.sim = FluidSimulator(net.space.num_links, PAPER_CONFIG.link_bandwidth)
+    ReplayEngine(pattern_trace(pattern), net).run()
+    assert net.sim.telemetry()["recomputes"] <= MAX_REPLAY_REFILLS[app]
