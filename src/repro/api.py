@@ -22,11 +22,11 @@ through the unified registries::
 Everything downstream — the sweep engine, the CLI, the figure harness —
 builds on this facade; new backends and scenario axes extend it by
 *registration* (:mod:`repro.registry`) rather than by editing engine
-internals.  An oblivious scheme's all-pairs table is a reusable
-artifact (Räcke & Schmid, *Compact Oblivious Routing*): the
-:class:`RouteTableCache` shared across scenarios builds it once per
-``(topology, algorithm, seed)`` and serves every pattern from row
-subsets.
+internals.  A phase scenario routes exactly the pairs of its phases
+through :meth:`~repro.core.base.RoutingAlgorithm.build_table`, oblivious
+scheme or not.  Only an open-loop workload needs a scheme's whole
+all-pairs table, and the :class:`RouteTableCache` shared across
+scenarios builds that once per ``(topology, algorithm, seed)``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core.base import RouteTable, RoutingAlgorithm
-from .core.factory import ALGORITHMS, is_oblivious, make_algorithm
+from .core.factory import is_oblivious, make_algorithm
 from .faults import DegradedTopology, FaultSpec, parse_fault_spec, repair_table
 from .metrics import (
     DEFAULT_METRICS,
@@ -56,7 +56,6 @@ from .obs import metrics as _metrics
 from .obs.trace import TRACER
 from .patterns.base import Pattern
 from .patterns.registry import resolve_pattern
-from .registry import parse_spec
 from .serve import RouteServer
 from .sim.config import PAPER_CONFIG, NetworkConfig
 from .sim.engines import DEFAULT_ENGINE, fluid_engine_names, resolve_engine
@@ -130,50 +129,27 @@ Phases = list[tuple[list[tuple[int, int]], list[int]]]
 class RouteTableCache:
     """All-pairs route tables keyed by ``(topology, algorithm, seed)``.
 
-    Holds one table per oblivious scheme instance; per-pattern tables are
-    row subsets (:func:`subset_table`).  ``builds``/``hits`` feed the
-    sweep artifact's cache section, which the memoization tests assert
-    on.
-
-    With a ``store`` (an :class:`~repro.store.ArtifactStore` or a root
-    path), the cache becomes persistent: an in-memory miss consults the
-    store before recomputing, and fresh builds are written back — a
-    sweep's tables become reusable ``repro serve`` artifacts, and a
-    rerun opens them in milliseconds.  The store is only consulted for
-    spec-addressed algorithms (``store_key is not None``): live
-    instances have no canonical cross-process identity, exactly as in
-    the in-memory keying.
+    Holds one table per oblivious scheme instance, for the cells that
+    need every pair: a dynamic scenario's arrivals and its
+    ``worst-links`` faults.  Phase cells route their own pairs and never
+    ask it.  ``builds``/``hits`` feed the sweep artifact's cache
+    section.  The persistent way to a table is
+    :func:`~repro.store.open_table`.
     """
 
-    def __init__(self, store: "ArtifactStore | str | None" = None) -> None:
+    def __init__(self) -> None:
         self._tables: dict[MemoKey, RouteTable] = {}
-        self._rows: dict[MemoKey, npt.NDArray[np.int64]] = {}
-        self.store = ArtifactStore.ensure(store) if store is not None else None
         self.builds = 0
         self.hits = 0
-        self.store_hits = 0
-        self.store_puts = 0
         self._obs_on = _obs_active()
 
-    def all_pairs_table(
-        self,
-        key: MemoKey,
-        algorithm: RoutingAlgorithm,
-        store_key: StoreKey | None = None,
-    ) -> RouteTable:
+    def all_pairs_table(self, key: MemoKey, algorithm: RoutingAlgorithm) -> RouteTable:
         obs_on = self._obs_on
         table = self._tables.get(key)
         if table is not None:
             self.hits += 1
             if obs_on:
                 _metrics.counter("cache.table_hits").inc()
-            return table
-        if self.store is not None and store_key is not None and self.store.contains(store_key):
-            with TRACER.span("store.load") if obs_on else _NULL_CM:
-                table = self._tables[key] = self.store.load(store_key)
-            self.store_hits += 1
-            if obs_on:
-                _metrics.counter("cache.store_hits").inc()
             return table
         t0 = time.perf_counter()
         with TRACER.span("cache.table_build") if obs_on else _NULL_CM:
@@ -182,37 +158,21 @@ class RouteTableCache:
         if obs_on:
             _metrics.counter("cache.table_builds").inc()
             _metrics.histogram("cache.build_s").observe(time.perf_counter() - t0)
-        if self.store is not None and store_key is not None:
-            with TRACER.span("store.put") if obs_on else _NULL_CM:
-                self.store.put(store_key, table)
-            self.store_puts += 1
-            if obs_on:
-                _metrics.counter("cache.store_puts").inc()
         return table
 
-    def row_index(self, key: MemoKey) -> npt.NDArray[np.int64]:
-        """``(n*n,)`` flat-pair -> row lookup for the cached table."""
-        rows = self._rows.get(key)
-        if rows is None:
-            table = self._tables[key]
-            n = table.topo.num_leaves
-            rows = np.full(n * n, -1, dtype=np.int64)
-            rows[table.src * n + table.dst] = np.arange(len(table), dtype=np.int64)
-            self._rows[key] = rows
-        return rows
-
     def stats(self) -> dict[str, int]:
-        out = {"table_builds": self.builds, "table_hits": self.hits}
-        if self.store is not None:
-            out["store_hits"] = self.store_hits
-            out["store_puts"] = self.store_puts
-        return out
+        return {"table_builds": self.builds, "table_hits": self.hits}
 
 
 def subset_table(
     full: RouteTable, rows: npt.NDArray[np.int64], pairs: Sequence[tuple[int, int]]
 ) -> RouteTable:
-    """The rows of an all-pairs table covering ``pairs`` (order kept)."""
+    """The rows of an all-pairs table covering ``pairs`` (order kept).
+
+    ``rows`` is the ``(n*n,)`` flat-pair -> row index of ``full``.  No
+    evaluation path calls this any more (a phase routes its own pairs);
+    the benchmark's traced runs still wrap it by name.
+    """
     n = full.topo.num_leaves
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     idx = rows[arr[:, 0] * n + arr[:, 1]]
@@ -340,8 +300,9 @@ class Scenario:
 
     @property
     def memo_key(self) -> MemoKey:
-        """Route tables are shared across patterns and fault scenarios
-        (repair filters the *pristine* table), never across these.
+        """All-pairs tables are shared across workloads and fault
+        scenarios (repair filters the *pristine* table), never across
+        these.
 
         A live algorithm instance is keyed by its object identity, not
         its bare name: two hand-built instances may share a name (or a
@@ -357,40 +318,6 @@ class Scenario:
         if isinstance(self.algorithm, RoutingAlgorithm):
             return f"{self.algorithm.name}#{id(self.algorithm):x}"
         return str(self.algorithm)
-
-    @property
-    def store_key(self) -> StoreKey | None:
-        """The persistent-artifact identity, or ``None`` if unstorable.
-
-        The compact-format mirror of the in-memory :attr:`memo_key`,
-        with two deliberate differences.  A live algorithm instance gets
-        ``None`` — its ``#id`` identity means nothing outside this
-        process, so serving it a store entry by bare name would repeat
-        the collision the PR-3 memo fix closed.  And where the memo key
-        keeps the topology spec *verbatim* (cross-worker memoization
-        matches the sweep grid's spelling), the store key canonicalizes
-        it — every spelling of one topology maps to one on-disk entry.
-        Cached tables are always pristine (repair filters the pristine
-        table), so the key's fault component stays ``none``.
-
-        Path tables have no compact on-disk encoding (yet), so any
-        scenario producing one — a general-graph topology, or a
-        path-emitting scheme on an XGFT — is unstorable and served from
-        the in-memory cache only.
-        """
-        if isinstance(self.algorithm, RoutingAlgorithm):
-            return None
-        if not isinstance(self.topo, XGFT):
-            return None
-        name, _ = parse_spec(str(self.algorithm))
-        if name in ALGORITHMS and getattr(ALGORITHMS.get(name), "emits_paths", False):
-            return None
-        cached = self.__dict__.get("_store_key")
-        if cached is None:
-            cached = self.__dict__["_store_key"] = StoreKey.make(
-                self.topo.spec(), str(self.algorithm), self.seed
-            )
-        return cached
 
     @property
     def _pattern_key(self) -> str:
@@ -460,50 +387,33 @@ class Scenario:
         return parse_fault_spec(str(self.faults))
 
     # -- cached evaluation intermediates --------------------------------
-    def _pristine_tables(
-        self, cache: RouteTableCache | None = None, phases: Phases | None = None
-    ) -> list[RouteTable]:
-        """Per-phase pristine route tables (memoized via the table cache).
+    def _pristine_tables(self, phases: Phases | None = None) -> list[RouteTable]:
+        """Per-phase pristine route tables, each routing its phase's pairs.
 
         ``phases`` is ``phase_pairs(self.traffic)`` when the caller has
         it already.
         """
-        cache = cache if cache is not None else self._cache
         if phases is None:
             phases = phase_pairs(self.traffic)
         algorithm = self.routing
-        if is_oblivious(algorithm):
-            full = cache.all_pairs_table(self.memo_key, algorithm, store_key=self.store_key)
-            rows = cache.row_index(self.memo_key)
-            return [subset_table(full, rows, pairs) for pairs, _ in phases]
         return [algorithm.build_table(pairs) for pairs, _ in phases]
 
-    def route_table(self, store: "ArtifactStore | str | None" = None) -> RouteTable:
+    def route_table(self) -> RouteTable:
         """The pristine routes of this scenario's traffic, merged.
 
         Phase scenarios merge their per-phase tables; dynamic scenarios
         return the oblivious scheme's *all-pairs* table — the artifact
         that answers every future arrival (a pattern-aware scheme has no
         such static table under churn, and raises).  Cached; repeated
-        calls (and :meth:`degraded` / :meth:`evaluate`) reuse the same
-        underlying all-pairs table.
-
-        ``store`` attaches a persistent :class:`~repro.store.ArtifactStore`
-        (instance or root path) to the scenario's table cache: the
-        all-pairs table is loaded from the store when present and
-        written back when built, for this and every later call.
+        calls and :meth:`degraded` reuse it.
         """
-        if store is not None:
-            self._cache.store = ArtifactStore.ensure(store)
         if self.is_dynamic:
             if not is_oblivious(self.routing):
                 raise ValueError(
                     f"{self.algorithm_spec!r} is pattern-aware: it has no "
                     "static route table under an open-loop workload"
                 )
-            return self._cache.all_pairs_table(
-                self.memo_key, self.routing, store_key=self.store_key
-            )
+            return self._cache.all_pairs_table(self.memo_key, self.routing)
         if self._pristine is None:
             self._pristine = self._pristine_tables()
         if not self._pristine:
@@ -667,12 +577,13 @@ def evaluate_scenario(
 ) -> ScenarioResult:
     """Evaluate one scenario and return its :class:`ScenarioResult`.
 
-    The sweep engine calls this per grid cell with a shared ``cache``;
-    :meth:`Scenario.evaluate` calls it with the scenario's own cache and
-    ``crossbar_memo``.  The crossbar reference of a spec-named pattern
-    is memoized process-wide (:mod:`repro.metrics`); ``crossbar_memo``
-    holds those of live patterns.  Metric values are computed by the
-    registered :class:`repro.metrics.Metric` callables over one shared
+    The sweep engine calls this per grid cell with a shared ``cache``,
+    which only dynamic cells read; :meth:`Scenario.evaluate` calls it
+    with the scenario's own cache and ``crossbar_memo``.  The crossbar
+    reference of a spec-named pattern is memoized process-wide
+    (:mod:`repro.metrics`); ``crossbar_memo`` holds those of live
+    patterns.  Metric values are computed by the registered
+    :class:`repro.metrics.Metric` callables over one shared
     :class:`repro.metrics.EvalContext`.  Dynamic scenarios bypass the
     metric registry and record :data:`repro.workloads.DYNAMIC_METRICS`
     regardless of ``metrics`` (see :meth:`Scenario.evaluate`).
@@ -685,10 +596,9 @@ def evaluate_scenario(
     topo = scenario.topo
     pattern = scenario.traffic
     algorithm = scenario.routing
-    cache = cache if cache is not None else RouteTableCache()
 
     phases = phase_pairs(pattern)
-    tables = scenario._pristine_tables(cache, phases)
+    tables = scenario._pristine_tables(phases)
 
     # degrade-and-repair: faults are realized against the *routed*
     # traffic (adversarial specs cut the most loaded cables of this very
@@ -770,10 +680,10 @@ def _evaluate_dynamic(
     """The dynamic (open-loop) evaluation path behind the facade.
 
     Oblivious schemes reuse the shared all-pairs table cache, so in a
-    sweep the same route table serves a ``(topology, algorithm, seed)``
-    group's phase cells *and* its dynamic cells.  The arrival stream is
-    seeded by the scenario seed: two engines (or two algorithms sharing
-    a seed) face the identical stream.
+    sweep one route table serves every dynamic cell of a ``(topology,
+    algorithm, seed)`` group.  The arrival stream is seeded by the
+    scenario seed: two engines (or two algorithms sharing a seed) face
+    the identical stream.
     """
     engine_obj = resolve_engine(engine)
     if engine_obj.kind != "fluid":
@@ -789,9 +699,7 @@ def _evaluate_dynamic(
     workload = scenario.dynamic_workload
     table = None
     if is_oblivious(algorithm):
-        table = cache.all_pairs_table(
-            scenario.memo_key, algorithm, store_key=scenario.store_key
-        )
+        table = cache.all_pairs_table(scenario.memo_key, algorithm)
 
     degraded = scenario._realized_faults(lambda: table)
 
@@ -888,9 +796,9 @@ def compare(
 ) -> Comparison:
     """Evaluate scenarios with shared caches and tabulate the metrics.
 
-    Scenarios sharing a ``(topology, algorithm, seed)`` identity reuse
-    one all-pairs route table; the crossbar reference is computed once
-    per (pattern, machine size).
+    Dynamic scenarios sharing a ``(topology, algorithm, seed)`` identity
+    reuse one all-pairs route table; the crossbar reference is computed
+    once per (pattern, machine size).
     """
     if not scenarios:
         raise ValueError("compare needs at least one scenario")

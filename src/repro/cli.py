@@ -15,7 +15,6 @@
     repro sweep --jobs 4 -o sweep_results.json
     repro sweep --spec benchmarks/smoke_spec.json -o sweep_results.json
     repro sweep --faults none "links:rate=0.05" --patterns shift-1
-    repro sweep --store ./store          # persist tables as serve artifacts
     repro serve --topology "XGFT(2;16,16;1,8)" --algorithm d-mod-k --store ./store
     repro serve --batch queries.jsonl --store ./store
     repro serve --listen 127.0.0.1:9000 --store ./store
@@ -49,8 +48,7 @@ slowdown and flow-loss curves.
 compact all-pairs table from the persistent artifact store
 (:mod:`repro.store`, building on a miss), then answers JSON-lines route
 queries in batch mode (``--batch``) or over an asyncio TCP endpoint
-(``--listen``).  ``sweep --store`` persists every table a sweep builds
-into the same store.  The benchmark of the paper grid, the dynamic
+(``--listen``).  The benchmark of the paper grid, the dynamic
 engines and the server is ``bench/run.py``, not a subcommand.
 """
 
@@ -243,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--output", "-o", type=Path, default=Path("sweep_results.json"))
     ps.add_argument(
         "--max-rows", type=int, default=40, help="run rows to print (artifact always holds all)"
-    )
-    ps.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="artifact-store root: load prebuilt route tables from it and "
-        "persist fresh ones as reusable `repro serve` entries",
     )
     add_trace_arg(ps, "repro_sweep")
 
@@ -561,22 +552,14 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> experiments.SweepSpec:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec_from_args(args)
-    result = experiments.run_sweep(
-        spec, jobs=args.jobs, run_filter=args.run_filter, store=args.store
-    )
+    result = experiments.run_sweep(spec, jobs=args.jobs, run_filter=args.run_filter)
     path = experiments.write_artifact(result, args.output)
     print(experiments.format_sweep_results(result, max_rows=args.max_rows))
     cache = result.cache_stats
-    store_note = ""
-    if args.store is not None:
-        store_note = (
-            f", store: {cache.get('store_hits', 0)} loaded, "
-            f"{cache.get('store_puts', 0)} persisted"
-        )
     print(
         f"\n{len(result.runs)} runs in {result.total_wall_time_s:.1f}s "
-        f"(jobs={args.jobs}; route tables: {cache.get('table_builds', 0)} built, "
-        f"{cache.get('table_hits', 0)} reused{store_note})"
+        f"(jobs={args.jobs}; all-pairs tables: {cache['table_builds']} built, "
+        f"{cache['table_hits']} reused)"
     )
     print(f"artifact written to {path}")
     return 0

@@ -88,9 +88,10 @@ def is_oblivious(algorithm: RoutingAlgorithm) -> bool:
     keeps the no-op :meth:`~RoutingAlgorithm.prepare` hook (neither its
     class nor the instance itself overrides it — wrappers such as
     :class:`repro.faults.repair.RepairedRouting` delegate via an
-    instance attribute).  The sweep engine memoizes all-pairs route
-    tables only for oblivious schemes — a pattern-aware scheme's answers
-    change with every pattern.
+    instance attribute).  Dynamic scenarios, the route store and
+    ``repro serve`` use a prebuilt all-pairs table only for oblivious
+    schemes — a pattern-aware scheme's answers change with every
+    pattern.
     """
     return (
         type(algorithm).prepare is RoutingAlgorithm.prepare

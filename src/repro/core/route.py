@@ -344,7 +344,7 @@ class RouteTable:
 
         The row-subsetting primitive shared with
         :meth:`repro.graphs.table.PathTable.take` — callers slicing an
-        all-pairs table (the pattern/driver subset paths) go through
+        all-pairs table (the dynamic driver's arrival lookup) go through
         this instead of spelling out the columns, so both table kinds
         subset the same way.
         """

@@ -18,11 +18,15 @@ diffed and stored — one record per line::
     <rank> waitall
     <rank> sendrecv <peer> <bytes> <tag>
     <rank> barrier
+
+:meth:`Trace.to_text` opens with a ``# dimemas-lite trace, N ranks``
+header, so ranks with no records survive the round trip.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -37,7 +41,15 @@ __all__ = [
     "Barrier",
     "Record",
     "Trace",
+    "MAX_RANKS",
 ]
+
+#: the most ranks a trace text may declare or use.  Far above any
+#: machine modelled here (the paper's 256 ranks, 2048-leaf workloads),
+#: it keeps one hostile rank number from sizing a trace of billions
+MAX_RANKS = 1 << 20
+
+_HEADER = re.compile(r"#\s*dimemas-lite trace,\s*(\d+)\s+ranks\s*$")
 
 
 def _check_amount(value: float, what: str) -> None:
@@ -187,17 +199,37 @@ class Trace:
 
     @staticmethod
     def from_text(text: str) -> "Trace":
+        """Parse :meth:`to_text` output; raises ``ValueError`` naming the line.
+
+        The rank count is N from a ``# dimemas-lite trace, N ranks``
+        header before the first record, else the largest rank + 1.  A
+        record of a rank outside the count, and either count above
+        :data:`MAX_RANKS`, is rejected.  Other ``#`` lines are comments.
+        """
         programs: dict[int, list[Record]] = {}
+        declared: int | None = None
         max_rank = -1
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
+            header = _HEADER.match(line)
+            if header:
+                declared = int(header.group(1))
+                if programs or not 1 <= declared <= MAX_RANKS:
+                    raise ValueError(
+                        f"line {lineno}: {raw!r} must come before every record "
+                        f"and declare 1 to {MAX_RANKS} ranks"
+                    )
+                continue
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            limit = MAX_RANKS if declared is None else declared
             try:
                 rank = int(parts[0])
                 if rank < 0:
                     raise ValueError(f"negative rank {rank}")
+                if rank >= limit:
+                    raise ValueError(f"rank {rank} outside [0, {limit})")
                 op = parts[1]
                 rec: Record
                 if op == "compute":
@@ -222,4 +254,5 @@ class Trace:
                 raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
             programs.setdefault(rank, []).append(rec)
             max_rank = max(max_rank, rank)
-        return Trace([programs.get(r, []) for r in range(max_rank + 1)])
+        num_ranks = max_rank + 1 if declared is None else declared
+        return Trace([programs.get(r, ()) for r in range(num_ranks)])

@@ -113,8 +113,8 @@ def _sweep(
 
     One :class:`repro.api.Scenario` per (algorithm, w2, seed) cell,
     evaluated with shared caches: the crossbar reference is computed
-    once per application (every slimmed topology has 256 leaves) and
-    each oblivious scheme's all-pairs table once per (topology, seed).
+    once per application (every slimmed topology has 256 leaves), and
+    each cell routes only its own phases' pairs.
     """
     app_spec = _application_spec(app)  # accept the paper's 'cg.d' spellings
     cells: list[tuple[str, int, Scenario]] = []

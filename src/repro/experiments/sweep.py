@@ -15,11 +15,10 @@ axis resolves through the unified registries (:mod:`repro.registry`),
 so new algorithms, patterns, topologies and metrics join a sweep by
 *registration*, not by editing this module.
 
-Per-``(topology, algorithm, seed)`` route tables are memoized across
-patterns and fault scenarios: an *oblivious* algorithm's all-pairs
-table is built once and every pattern's per-phase tables are row
-subsets of it — the operational payoff of obliviousness (cf. Räcke &
-Schmid, *Compact Oblivious Routing*: one table, any pattern).
+A phase cell routes only the pairs of its own phases.  The dynamic
+cells of a ``(topology, algorithm, seed)`` group share one all-pairs
+table of an oblivious scheme, built once per group: every arrival of
+an open-loop workload may ask for any pair.
 
 :func:`write_artifact` / :func:`load_artifact` give a deterministic,
 schema-versioned JSON artifact (``docs/sweep_schema.md``) that CI jobs
@@ -43,13 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..api import (
-    RouteTableCache,
-    Scenario,
-    evaluate_scenario,
-    format_run_id,
-    subset_table,
-)
+from ..api import RouteTableCache, Scenario, evaluate_scenario, format_run_id
 from ..core.factory import SINGLE_SEED_ALGORITHMS
 from ..faults import parse_fault_spec
 from ..metrics import DEFAULT_METRICS, KNOWN_METRICS, METRICS, RESILIENCE_METRICS
@@ -75,7 +68,6 @@ __all__ = [
     "plan_runs",
     "run_sweep",
     "execute_run",
-    "subset_table",
     "write_artifact",
     "load_artifact",
     "fault_grid_spec",
@@ -250,9 +242,9 @@ class RunSpec:
 
     @property
     def memo_key(self) -> tuple[str, str, int]:
-        """Route tables are shared across patterns, fault scenarios and
-        workloads (repair filters the *pristine* table; dynamic cells
-        subset the same all-pairs rows), never across these."""
+        """The dynamic cells of a group share one all-pairs table across
+        workloads and fault scenarios (repair filters the *pristine*
+        table); phase cells route their own pairs."""
         return (self.topology, self.algorithm, self.seed)
 
     def scenario(self) -> Scenario:
@@ -269,13 +261,14 @@ class RunSpec:
 def plan_runs(spec: SweepSpec, run_filter: str | None = None) -> tuple[RunSpec, ...]:
     """The grid's cartesian product, memo-key-contiguous.
 
-    Runs sharing a ``(topology, algorithm, seed)`` route table are
-    consecutive, so parallel chunking by memo key keeps each table build
-    inside one worker.  Deterministic/single-series algorithms collapse
-    the seed axis to ``{0}`` on the pristine topology; under a fault
-    scenario the seed still varies the *repair* draw, and under a
-    *seeded* dynamic workload it seeds the arrival stream, so the full
-    seed range is planned in both cases even for deterministic schemes.
+    Runs sharing a ``(topology, algorithm, seed)`` memo key are
+    consecutive, so parallel chunking by memo key keeps each all-pairs
+    table build of the dynamic cells inside one worker.
+    Deterministic/single-series algorithms collapse the seed axis to
+    ``{0}`` on the pristine topology; under a fault scenario the seed
+    still varies the *repair* draw, and under a *seeded* dynamic
+    workload it seeds the arrival stream, so the full seed range is
+    planned in both cases even for deterministic schemes.
     Seed-insensitive workloads (trace replay — ``Workload.seeded`` is
     False) collapse like patterns do: re-simulating an identical stream
     under a deterministic scheme on a pristine fabric is an inert seed.
@@ -402,9 +395,9 @@ def _environment() -> dict:
 
 
 def _execute_group(
-    payload: tuple[dict, list[tuple[int, dict]], str | None, bool],
+    payload: tuple[dict, list[tuple[int, dict]], bool],
 ) -> tuple[list, dict, dict]:
-    """Worker entry: one memo group = one route-table build, many patterns.
+    """Worker entry: one memo group, with one all-pairs table cache.
 
     With ``trace`` set, every run executes under a ``sweep.run`` span
     and the group returns the bounded per-name span aggregate of the
@@ -412,9 +405,9 @@ def _execute_group(
     be large, and forked children inherit the parent's buffer, so only
     spans recorded *by this group* are aggregated).
     """
-    spec_d, indexed_runs, store_root, trace = payload
+    spec_d, indexed_runs, trace = payload
     spec = SweepSpec.from_dict(spec_d)
-    cache = RouteTableCache(store=store_root)
+    cache = RouteTableCache()
     base_spans = 0
     if trace:
         # re-arming per-process infrastructure, not sharing state:
@@ -435,41 +428,29 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     run_filter: str | None = None,
-    store: str | Path | None = None,
 ) -> SweepResult:
     """Execute a sweep, serial (``jobs=1``) or process-parallel.
 
-    Parallel execution partitions the plan by memo key, so each
-    ``(topology, algorithm, seed)`` route table is built exactly once in
-    exactly one worker regardless of how many patterns consume it.
-    Results are deterministic and ordered by the plan, independent of
-    ``jobs``.
-
-    ``store`` names an artifact-store root (``repro sweep --store``):
-    every worker's table cache becomes store-backed, so the sweep's
-    all-pairs tables are loaded from disk when already built and
-    persisted otherwise — sweep outputs double as ``repro serve``
-    entries, and reruns skip the table builds entirely.
+    Parallel execution partitions the plan by memo key, so the all-pairs
+    table of a ``(topology, algorithm, seed)`` group's dynamic cells is
+    built exactly once in exactly one worker.  ``cache_stats`` counts
+    those builds and reuses; a sweep of phase cells only reports zero
+    of both.  Results are deterministic and ordered by the plan,
+    independent of ``jobs``.
     """
     t0 = time.perf_counter()
     runs = plan_runs(spec, run_filter)
     if not runs:
         return SweepResult(spec, [], {"table_builds": 0, "table_hits": 0}, 0.0)
 
-    store_root = str(store) if store is not None else None
     trace = _obs_active() and TRACER.enabled
     groups: dict[tuple, list[tuple[int, dict]]] = {}
     for index, run in enumerate(runs):
         groups.setdefault(run.memo_key, []).append((index, asdict(run)))
-    payloads = [
-        (spec.to_dict(), indexed, store_root, trace) for indexed in groups.values()
-    ]
+    payloads = [(spec.to_dict(), indexed, trace) for indexed in groups.values()]
 
     records: list[dict | None] = [None] * len(runs)
     stats = {"table_builds": 0, "table_hits": 0}
-    if store_root is not None:
-        stats["store_hits"] = 0
-        stats["store_puts"] = 0
     obs_agg: dict = {}
     jobs = max(1, min(jobs, len(payloads)))
     if jobs == 1:

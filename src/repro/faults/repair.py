@@ -152,41 +152,32 @@ def repair_table(
     working traffic); broken routes are re-drawn uniformly among the
     pair's surviving shared W-prefixes, seeded so the repair is itself a
     static oblivious assignment.  Flows with no surviving NCA are dropped
-    from the returned table and reported in ``diagnostics``.
+    from the returned table and reported in ``diagnostics``.  It runs
+    :func:`repair_pairs` and keeps the rows that draw did not disconnect.
     """
     topo = table.topo
     if degraded.topo != topo:
         raise ValueError("degraded topology does not match the route table")
-    broken = degraded.broken_flow_mask(table)
-    repaired = np.zeros(len(table), dtype=bool)
-    disconnected = np.zeros(len(table), dtype=bool)
-    diagnostics: list[str] = []
-    ports = table.ports.copy()
-    for f in np.nonzero(broken)[0]:
-        src, dst = int(table.src[f]), int(table.dst[f])
-        level = int(table.nca_level[f])
-        alive = degraded.alive_prefixes(level)
-        choice = _draw_prefix(alive[src] & alive[dst], seed, src, dst)
-        if choice is None:
-            disconnected[f] = True
-            diagnostics.append(
-                f"flow {f}: {src} -> {dst} disconnected (no surviving NCA at "
-                f"level {level}; {degraded.num_failed_cables} cables down)"
-            )
-            continue
-        ports[f, :level] = _decode_prefix(topo, choice, level)
-        ports[f, level:] = 0
-        repaired[f] = True
+    ports, status = repair_pairs(
+        degraded, table.src, table.dst, table.nca_level, table.ports, seed=seed
+    )
+    repaired = status == PAIR_REPAIRED
+    disconnected = status == PAIR_DISCONNECTED
+    diagnostics = tuple(
+        f"flow {f}: {table.src[f]} -> {table.dst[f]} disconnected (no surviving NCA at "
+        f"level {table.nca_level[f]}; {degraded.num_failed_cables} cables down)"
+        for f in np.nonzero(disconnected)[0]
+    )
     keep = ~disconnected
     repaired_table = RouteTable(
         topo, table.src[keep], table.dst[keep], table.nca_level[keep], ports[keep]
     )
     return RepairResult(
         table=repaired_table,
-        broken=broken,
+        broken=repaired | disconnected,
         repaired=repaired,
         disconnected=disconnected,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
     )
 
 
@@ -200,7 +191,7 @@ def repair_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """What-if repair of queried routes, aligned and copy-on-write.
 
-    The serving-layer sibling of :func:`repair_table`: takes the raw
+    The one repair draw, behind :func:`repair_table` too: takes the raw
     arrays of a batch lookup (possibly gathered from a read-only mmap'd
     store entry), never mutates them, and keeps the output aligned with
     the query — disconnected pairs stay in place with zeroed ports
@@ -208,10 +199,9 @@ def repair_pairs(
 
     Returns ``(ports_out, status)`` where ``ports_out`` is a fresh
     ``(B, h)`` matrix and ``status[b]`` is :data:`PAIR_INTACT`,
-    :data:`PAIR_REPAIRED` or :data:`PAIR_DISCONNECTED`.  The repair
-    draw matches :func:`repair_table` exactly (same seed, same pair →
-    same surviving prefix), so a what-if answer agrees with a
-    persisted repaired table.
+    :data:`PAIR_REPAIRED` or :data:`PAIR_DISCONNECTED`.  Same seed,
+    same pair → same surviving prefix, so a what-if answer agrees with
+    a persisted repaired table.
     """
     table = RouteTable(degraded.topo, src, dst, nca_level, ports)
     broken = degraded.broken_flow_mask(table)

@@ -26,7 +26,8 @@ All three emit :class:`~repro.graphs.table.PathTable` and accept
 either a :class:`~repro.graphs.graph.GeneralGraph` or an XGFT (lowered
 on the spot), so they run on every registered topology.  None of them
 override :meth:`~repro.core.base.RoutingAlgorithm.prepare` — they stay
-structurally oblivious and inherit the all-pairs memoization.
+structurally oblivious, so a dynamic scenario can serve them from one
+cached all-pairs table.
 """
 
 from __future__ import annotations

@@ -456,8 +456,9 @@ def open_table(
     reopened *from the store* (mmap-backed).  A non-``none`` ``faults``
     key stores the locally *repaired* table over the realized degraded
     fabric — disconnected pairs are absent from the entry.  Only
-    oblivious registry schemes can be built (pattern-aware schemes have
-    no pattern-independent all-pairs artifact).
+    oblivious registry schemes with port tables can be built:
+    pattern-aware schemes have no pattern-independent all-pairs
+    artifact, and path tables have no compact encoding.
     """
     live = ArtifactStore.ensure(store)
     key = StoreKey.make(topology, algorithm, seed, faults)
@@ -473,6 +474,11 @@ def open_table(
         raise ValueError(
             f"{key.algorithm!r} is pattern-aware: it has no pattern-"
             "independent all-pairs table to store"
+        )
+    if hasattr(alg, "pair_arcs"):
+        raise ValueError(
+            f"{key.algorithm!r} emits arc paths: path tables have no "
+            "compact on-disk encoding"
         )
     table = alg.all_pairs_table()
     if key.faults != "none":

@@ -3,14 +3,18 @@
 These helpers exist for interoperability (analysis with the standard
 graph toolbox, verification of structural claims with independent code)
 and for the examples; none of the performance-critical paths go through
-networkx.
+networkx.  networkx is an optional dependency: only :func:`to_networkx`
+imports it, so ``import repro`` works on a numpy-only install.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .xgft import XGFT
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_networkx", "ascii_art", "degree_histogram"]
 
@@ -21,6 +25,8 @@ def to_networkx(topo: XGFT) -> nx.Graph:
     Node attributes: ``level``, ``label`` (Table-I tuple, MSB first),
     ``kind`` (``"host"`` / ``"switch"``).
     """
+    import networkx as nx
+
     g = nx.Graph(topology=topo.spec())
     for level, node in topo.nodes():
         g.add_node(

@@ -15,6 +15,7 @@ from repro.dimemas import (
     Trace,
     WaitAll,
 )
+from repro.dimemas.trace import MAX_RANKS
 
 
 class TestRecords:
@@ -116,3 +117,36 @@ class TestTextRoundTrip:
         tr = Trace.from_text("0 send 2 10 0\n2 recv 0 0\n")
         assert tr.num_ranks == 3
         assert tr.programs[1] == ()
+
+    def test_idle_ranks_survive_round_trip(self):
+        """Regression: the header's rank count was ignored, so a 4-rank
+        trace whose ranks 2 and 3 are idle read back as 2 ranks."""
+        tr = Trace([[Send(1, 10)], [Recv(0)], [], []])
+        back = Trace.from_text(tr.to_text())
+        assert back.num_ranks == 4
+        assert back.programs == tr.programs
+
+    def test_hostile_rank_rejected_before_allocation(self):
+        """Regression: one line sized the trace from its rank number, so
+        ``2000000000 compute 1`` asked for about 200 GB."""
+        for rank in (2_000_000_000, MAX_RANKS):
+            with pytest.raises(ValueError, match=f"line 1: .*rank {rank} outside"):
+                Trace.from_text(f"{rank} compute 1\n")
+
+    def test_rank_beyond_header_rejected(self):
+        text = "# dimemas-lite trace, 2 ranks\n0 send 1 10 0\n2 compute 1\n"
+        with pytest.raises(ValueError, match=r"line 3: .*rank 2 outside \[0, 2\)"):
+            Trace.from_text(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"# dimemas-lite trace, {MAX_RANKS + 1} ranks\n",
+            "# dimemas-lite trace, 0 ranks\n",
+            "0 compute 1\n# dimemas-lite trace, 2 ranks\n",
+        ],
+        ids=["over-cap", "zero", "after-records"],
+    )
+    def test_bad_header_rejected(self, text):
+        with pytest.raises(ValueError, match="line [12]: .*ranks"):
+            Trace.from_text(text)

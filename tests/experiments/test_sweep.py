@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.core import make_algorithm
 from repro.experiments import (
     DEFAULT_METRICS,
     RESILIENCE_METRICS,
@@ -22,10 +20,8 @@ from repro.experiments import (
     sweep_compare,
     write_artifact,
 )
-from repro.experiments.sweep import subset_table
 from repro.patterns.registry import resolve_pattern
 from repro.registry import parse_spec
-from repro.topology import parse_xgft
 
 SMALL_SPEC = SweepSpec(
     topologies=("XGFT(2;4,4;1,4)", "XGFT(2;4,4;1,2)"),
@@ -138,34 +134,21 @@ class TestPlanning:
 
 
 class TestMemoization:
-    def test_tables_built_once_across_patterns(self):
+    def test_phase_cells_build_no_all_pairs_table(self):
+        # every phase cell routes only its own pairs
         result = run_sweep(SMALL_SPEC)
-        groups = {r.memo_key for r in plan_runs(SMALL_SPEC)}
-        assert result.cache_stats["table_builds"] == len(groups)
-        # every additional pattern of a group is a cache hit
-        assert result.cache_stats["table_hits"] == len(result.runs) - len(groups)
+        assert result.cache_stats == {"table_builds": 0, "table_hits": 0}
 
-    def test_same_table_object_reused(self):
+    def test_dynamic_cells_of_a_group_share_one_table(self):
         cache = RouteTableCache()
-        run_a = RunSpec("XGFT(2;4,4;1,4)", "shift-1", "random", 0)
-        run_b = RunSpec("XGFT(2;4,4;1,4)", "bit-reversal", "random", 0)
-        execute_run(run_a, DEFAULT_METRICS, cache=cache)
-        execute_run(run_b, DEFAULT_METRICS, cache=cache)
-        assert cache.builds == 1 and cache.hits == 1
+        workload = "poisson(load=0.5,flows=40)"
+        run_a = RunSpec("XGFT(2;4,4;1,4)", "none", "random", 0, workload=workload)
+        run_b = RunSpec("XGFT(2;4,4;1,4)", "none", "random", 0, "links:count=1,seed=2", workload)
+        phase = RunSpec("XGFT(2;4,4;1,4)", "shift-1", "random", 0)
+        for run in (run_a, phase, run_b):
+            execute_run(run, DEFAULT_METRICS, cache=cache)
+        assert cache.stats() == {"table_builds": 1, "table_hits": 1}
         assert len(cache._tables) == 1
-
-    def test_subset_matches_direct_build(self):
-        topo_spec = "XGFT(2;4,4;1,2)"
-        alg = make_algorithm("r-nca-u", parse_xgft(topo_spec), seed=3)
-        cache = RouteTableCache()
-        key = (topo_spec, "r-nca-u", 3)
-        full = cache.all_pairs_table(key, alg)
-        pairs = resolve_pattern("bit-reversal", 16).pairs()
-        sub = subset_table(full, cache.row_index(key), pairs)
-        direct = alg.build_table(pairs)
-        assert np.array_equal(sub.ports, direct.ports)
-        assert np.array_equal(sub.src, direct.src)
-        assert np.array_equal(sub.nca_level, direct.nca_level)
 
     def test_pattern_aware_not_memoized(self):
         spec = SweepSpec(
@@ -209,25 +192,8 @@ class TestExecution:
         assert set(metrics) == {"routes_per_nca", "max_link_load"}
         assert sum(metrics["routes_per_nca"]) == 16 * 15 - 4 * 4 * 3  # cross-switch pairs
 
-    def test_store_backed_rerun_builds_nothing(self, tmp_path):
-        store = tmp_path / "store"
-        first = run_sweep(SMALL_SPEC, store=store)
-        assert first.cache_stats["table_builds"] > 0
-        assert first.cache_stats["store_puts"] == first.cache_stats["table_builds"]
-        second = run_sweep(SMALL_SPEC, store=store)
-        assert second.cache_stats["table_builds"] == 0
-        assert second.cache_stats["store_hits"] > 0
-        assert [r["metrics"] for r in second.runs] == [r["metrics"] for r in first.runs]
-
-    def test_store_round_trip_survives_parallel_workers(self, tmp_path):
-        store = tmp_path / "store"
-        plain = run_sweep(SMALL_SPEC, jobs=1)
-        stored = run_sweep(SMALL_SPEC, jobs=4, store=store)
-        assert [r["metrics"] for r in stored.runs] == [r["metrics"] for r in plain.runs]
-        assert "store_hits" in stored.cache_stats
-
-    def test_stats_omit_store_counters_without_store(self):
-        assert "store_hits" not in run_sweep(SMALL_SPEC).cache_stats
+    def test_cache_stats_count_builds_and_hits_only(self):
+        assert set(run_sweep(SMALL_SPEC).cache_stats) == {"table_builds", "table_hits"}
 
     def test_empty_filter_gives_empty_result(self):
         result = run_sweep(SMALL_SPEC, run_filter="no-such-run")
@@ -254,7 +220,8 @@ class TestObsAggregation:
         result = run_sweep(SMALL_SPEC, run_filter="XGFT(2;4,4;1,2)*")
         assert result.obs["sweep.run"]["count"] == len(result.runs)
         assert result.obs["sweep.run"]["total_s"] > 0.0
-        assert result.obs["cache.table_build"]["count"] >= 1
+        # phase cells route their own pairs: no all-pairs table is built
+        assert "cache.table_build" not in result.obs
         doc = result.to_dict()
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["obs"]["spans"]["sweep.run"]["count"] == len(result.runs)

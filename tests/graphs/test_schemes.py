@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Scenario
+from repro.api import Scenario, open_table
 from repro.contention.link_load import link_flow_counts
 from repro.core.factory import is_oblivious, make_algorithm
 from repro.graphs import (
@@ -186,10 +186,13 @@ class TestScenarioIntegration:
         result = s.evaluate(metrics=("max_link_load", "routes_per_nca"))
         assert "routes_per_nca" not in result.metrics
 
-    def test_store_key_is_none_for_graph_scenarios(self):
-        assert Scenario("leafspine(leaves=4,spines=2,hosts=2)", "shift", "random-walk").store_key is None
-        assert Scenario("XGFT(2;4,4;1,2)", "shift", "random-walk").store_key is None
-        assert Scenario("XGFT(2;4,4;1,2)", "shift", "d-mod-k").store_key is not None
+    @pytest.mark.parametrize(
+        "topology", ["leafspine(leaves=4,spines=2,hosts=2)", "XGFT(2;4,4;1,2)"]
+    )
+    def test_path_tables_are_not_stored(self, topology, tmp_path):
+        with pytest.raises(ValueError, match="path tables"):
+            open_table(topology, "random-walk", store=tmp_path / "store")
+        assert not (tmp_path / "store").exists()
 
     def test_faults_rejected_on_graph_topologies(self):
         s = Scenario(

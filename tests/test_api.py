@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
 import repro.api
-from repro.api import Comparison, RouteTableCache, Scenario, compare, evaluate_scenario
+from repro.api import Comparison, RouteTableCache, Scenario, compare, evaluate_scenario, open_table
 from repro.core import make_algorithm
 from repro.faults import parse_fault_spec
 from repro.patterns.registry import resolve_pattern
@@ -106,10 +107,9 @@ class TestScenarioEvaluation:
         table = s.route_table()
         assert s.route_table() is table
         assert len(table) == len([p for p in s.traffic.pairs() if p[0] != p[1]])
-        # evaluate() reuses the scenario's all-pairs table: no extra build
-        builds_before = s._cache.builds
+        # a phase scenario routes its own pairs: no all-pairs table
         s.evaluate(metrics=("max_link_load",))
-        assert s._cache.builds == builds_before
+        assert s._cache.builds == 0
 
     def test_degraded_none_when_pristine(self):
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k")
@@ -245,12 +245,19 @@ class TestCompare:
         ]
 
     def test_shared_cache_across_scenarios(self):
+        """Phase scenarios never read the shared cache; dynamic scenarios
+        of one (topology, algorithm, seed) share one all-pairs table."""
         cache = RouteTableCache()
         base = Scenario("XGFT(2;4,4;1,2)", "shift-1", "r-nca-d", seed=0)
-        other = base.with_(pattern="bit-reversal")
         evaluate_scenario(base, metrics=("max_link_load",), cache=cache)
-        evaluate_scenario(other, metrics=("max_link_load",), cache=cache)
-        assert cache.builds == 1 and cache.hits == 1
+        evaluate_scenario(
+            base.with_(pattern="bit-reversal"), metrics=("max_link_load",), cache=cache
+        )
+        assert (cache.builds, cache.hits) == (0, 0)
+        dynamic = base.with_(pattern="none", workload="poisson(load=0.5,flows=40)")
+        evaluate_scenario(dynamic, cache=cache)
+        evaluate_scenario(dynamic.with_(workload="poisson(load=0.8,flows=40)"), cache=cache)
+        assert (cache.builds, cache.hits) == (1, 1)
 
     def test_live_instances_with_equal_names_do_not_share_tables(self):
         """Regression: distinct live algorithm instances used to collide
@@ -292,72 +299,16 @@ class TestCompare:
             compare([])
 
 
-class TestStoreBackedCache:
-    def test_store_key_none_for_live_instances(self):
-        """Regression companion to the bare-name collision fix: live
-        algorithm instances are identity-keyed in memory and must never
-        reach the content-addressed store, where two distinct instances
-        with equal names would collide on one entry."""
-        topo = XGFT((4, 4), (1, 2))
-        live = Scenario(topo, "shift-1", make_algorithm("r-nca-d", topo, seed=1))
-        assert live.store_key is None
-        spec = Scenario(topo, "shift-1", "r-nca-d", seed=1)
-        assert spec.store_key is not None
-        assert spec.store_key.algorithm == "r-nca-d"
+class TestRouteTableCache:
+    def test_stats_count_builds_and_hits_only(self):
+        assert RouteTableCache().stats() == {"table_builds": 0, "table_hits": 0}
 
-    def test_live_instances_never_touch_store(self, tmp_path):
-        topo = XGFT((4, 4), (1, 2))
-        cache = RouteTableCache(store=tmp_path / "store")
-        for seed in (1, 2):
-            s = Scenario(topo, "shift-1", make_algorithm("r-nca-d", topo, seed=seed))
-            evaluate_scenario(s, metrics=("max_link_load",), cache=cache)
-        stats = cache.stats()
-        assert stats["table_builds"] == 2
-        assert stats["store_hits"] == 0 and stats["store_puts"] == 0
-
-    def test_topology_spellings_share_one_store_entry(self, tmp_path):
-        cache1 = RouteTableCache(store=tmp_path / "store")
-        evaluate_scenario(
-            Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k"),
-            metrics=("max_link_load",),
-            cache=cache1,
-        )
-        assert cache1.stats()["store_puts"] == 1
-        # a fresh cache + the other spelling loads the same artifact
-        cache2 = RouteTableCache(store=tmp_path / "store")
-        evaluate_scenario(
-            Scenario("xgft:2;4,4;1,2", "shift-1", "d-mod-k"),
-            metrics=("max_link_load",),
-            cache=cache2,
-        )
-        stats = cache2.stats()
-        assert stats["store_hits"] == 1 and stats["table_builds"] == 0
-
-    def test_store_load_matches_fresh_build(self, tmp_path):
-        base = Scenario("XGFT(2;4,4;1,4)", "bit-reversal", "random", seed=3)
-        fresh = base.evaluate(metrics=("max_link_load", "mean_link_load"))
-        cache = RouteTableCache(store=tmp_path / "store")
-        evaluate_scenario(base, metrics=("max_link_load",), cache=cache)
-        reloaded = evaluate_scenario(
-            base,
-            metrics=("max_link_load", "mean_link_load"),
-            cache=RouteTableCache(store=tmp_path / "store"),
-        )
-        assert reloaded.metrics == fresh.metrics
-
-    def test_route_table_store_kwarg(self, tmp_path):
-        import numpy as np
-
-        from repro.store import ArtifactStore
-
-        s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k")
-        s.route_table(store=tmp_path / "store")
-        # the persisted artifact is the underlying all-pairs table,
-        # not the pattern-restricted merge route_table() returns
-        store = ArtifactStore(tmp_path / "store")
-        assert store.contains(s.store_key)
-        reference = make_algorithm("d-mod-k", s.topo).all_pairs_table()
-        assert np.array_equal(store.load(s.store_key).ports, reference.ports)
-
-    def test_stats_omit_store_counters_without_store(self):
-        assert "store_hits" not in RouteTableCache().stats()
+    def test_store_entry_serves_the_scenario_routes(self, tmp_path):
+        """The persistent way to a table is ``open_table``: its rows for
+        a pattern's pairs are the routes the scenario itself builds."""
+        s = Scenario("XGFT(2;4,4;1,4)", "bit-reversal", "random", seed=3)
+        table = s.route_table()
+        compact = open_table(s.topology_spec, "random", seed=3, store=tmp_path / "store")
+        nca, ports = compact.batch_lookup(table.src, table.dst)
+        assert np.array_equal(nca, table.nca_level)
+        assert np.array_equal(ports, table.ports)

@@ -5,7 +5,8 @@ pure functions of the inputs, so they cannot flake.  Each is pinned as
 an upper bound equal to its value when the pin was set: a change that
 does more work (an extra refill per epoch, an extra route-table build)
 fails here, and a change that does less passes and lowers the pin to
-record its gain.
+record its gain.  The pairs a sweep routes are pinned exactly: a phase
+routes its own pairs, so fewer would mean a pair went unrouted.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.core import make_algorithm
+from repro.core.base import RoutingAlgorithm
 from repro.dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace
 from repro.experiments import SweepSpec, run_sweep
 from repro.patterns import cg_pattern, wrf_pattern
@@ -29,9 +31,14 @@ SWEEP = SweepSpec(
     seeds=2,
     metrics=("max_link_load",),
 )
-#: one all-pairs table per tree for d-mod-k, one per tree and seed for
-#: random and r-nca-d; Colored is pattern-aware and never cached
-MAX_TABLE_BUILDS = 10
+#: phase cells route their own pairs and build no all-pairs table
+MAX_TABLE_BUILDS = 0
+#: the cells' own pairs, 16 + 12 + 12 per (tree, scheme, seed) group
+#: for shift-1, bit-reversal and transpose on 16 leaves (12 x 40 = 480),
+#: plus the S-mod-k and D-mod-k warm starts Colored routes for its six
+#: cells (160).  Each cell used to cut its rows from an all-pairs table
+#: of 240 pairs, which routed 2,640 pairs in all.
+ROUTED_PAIRS = 640
 
 #: one stream that reaches all three refill paths of the incremental
 #: engine: component-local partial refills, full refills, and
@@ -53,10 +60,20 @@ MAX_ENGINE_WORK = {
 }
 
 
-def test_sweep_route_table_builds():
+def test_sweep_route_table_builds(monkeypatch):
+    routed = []
+    real = RoutingAlgorithm.build_table
+
+    def counting(self, pairs):
+        table = real(self, pairs)
+        routed.append(len(table))
+        return table
+
+    monkeypatch.setattr(RoutingAlgorithm, "build_table", counting)
     result = run_sweep(SWEEP)
     assert len(result.runs) == 36
     assert result.cache_stats["table_builds"] <= MAX_TABLE_BUILDS
+    assert sum(routed) == ROUTED_PAIRS
 
 
 @pytest.fixture(scope="module")
