@@ -22,19 +22,19 @@ through the unified registries::
 Everything downstream — the sweep engine, the CLI, the figure harness —
 builds on this facade; new backends and scenario axes extend it by
 *registration* (:mod:`repro.registry`) rather than by editing engine
-internals.  A phase scenario routes exactly the pairs of its phases
-through :meth:`~repro.core.base.RoutingAlgorithm.build_table`, oblivious
-scheme or not.  Only an open-loop workload needs a scheme's whole
-all-pairs table, and the :class:`RouteTableCache` shared across
-scenarios builds that once per ``(topology, algorithm, seed)``.
+internals.  Every scenario routes exactly the pairs its traffic sends
+through :meth:`~repro.core.base.RoutingAlgorithm.build_table`: a phase
+scenario the pairs of its phases, a dynamic scenario the arrivals of
+its stream (:func:`repro.workloads.route_stream`).  No evaluation
+builds a scheme's all-pairs table; that table serves the route store
+(:func:`open_table`) and ``repro serve``, which answer every pair.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence, cast
+from typing import Mapping, Sequence, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -51,9 +51,6 @@ from .metrics import (
     phase_pairs,
     resolve_metrics,
 )
-from .obs import active as _obs_active
-from .obs import metrics as _metrics
-from .obs.trace import TRACER
 from .patterns.base import Pattern
 from .patterns.registry import resolve_pattern
 from .serve import RouteServer
@@ -62,7 +59,7 @@ from .sim.engines import DEFAULT_ENGINE, fluid_engine_names, resolve_engine
 from .store import ArtifactStore, StoreKey, open_table, store_table
 from .topology.registry import resolve_topology
 from .topology.xgft import XGFT
-from .workloads import DynamicDriver, DynamicResult, Workload, resolve_workload
+from .workloads import DynamicDriver, DynamicResult, Workload, resolve_workload, route_stream
 
 # importing the graphs package registers the general-graph topology
 # families, the path-based routing schemes and the congestion metrics;
@@ -108,13 +105,6 @@ def format_run_id(
     return base if workload == "none" else f"{base}#{workload}"
 
 
-# shared do-nothing context manager for untraced branches (nullcontext
-# is stateless, so one instance can be reused)
-_NULL_CM = nullcontext()
-
-#: the in-memory route-table cache key: (topology spec, algorithm key, seed)
-MemoKey = tuple[str, str, int]
-
 #: opaque per-run memo of the crossbar references of live patterns
 #: (spec-named patterns use the process-wide memo in repro.metrics)
 CrossbarMemo = dict[object, object]
@@ -124,44 +114,17 @@ Phases = list[tuple[list[tuple[int, int]], list[int]]]
 
 
 # ----------------------------------------------------------------------
-# Route-table memoization
+# Leftovers kept for the benchmark
 # ----------------------------------------------------------------------
 class RouteTableCache:
-    """All-pairs route tables keyed by ``(topology, algorithm, seed)``.
+    """A placeholder with no behaviour.
 
-    Holds one table per oblivious scheme instance, for the cells that
-    need every pair: a dynamic scenario's arrivals and its
-    ``worst-links`` faults.  Phase cells route their own pairs and never
-    ask it.  ``builds``/``hits`` feed the sweep artifact's cache
-    section.  The persistent way to a table is
-    :func:`~repro.store.open_table`.
+    No evaluation builds an all-pairs table, so there is nothing to
+    cache.  The benchmark's paper-grid driver
+    (``bench/grid.py``, ``bench/gen_expected.py``) still constructs one
+    and passes it to :func:`repro.experiments.sweep.execute_run`, which
+    ignores it.
     """
-
-    def __init__(self) -> None:
-        self._tables: dict[MemoKey, RouteTable] = {}
-        self.builds = 0
-        self.hits = 0
-        self._obs_on = _obs_active()
-
-    def all_pairs_table(self, key: MemoKey, algorithm: RoutingAlgorithm) -> RouteTable:
-        obs_on = self._obs_on
-        table = self._tables.get(key)
-        if table is not None:
-            self.hits += 1
-            if obs_on:
-                _metrics.counter("cache.table_hits").inc()
-            return table
-        t0 = time.perf_counter()
-        with TRACER.span("cache.table_build") if obs_on else _NULL_CM:
-            table = self._tables[key] = algorithm.all_pairs_table()
-        self.builds += 1
-        if obs_on:
-            _metrics.counter("cache.table_builds").inc()
-            _metrics.histogram("cache.build_s").observe(time.perf_counter() - t0)
-        return table
-
-    def stats(self) -> dict[str, int]:
-        return {"table_builds": self.builds, "table_hits": self.hits}
 
 
 def subset_table(
@@ -234,7 +197,6 @@ class Scenario:
                 "pattern='none' instead of "
                 f"{self.pattern_spec!r}"
             )
-        self._cache = RouteTableCache()
         self._crossbar_memo: CrossbarMemo = {}
         self._degraded: DegradedTopology | None = None
         self._degraded_done = False
@@ -297,27 +259,6 @@ class Scenario:
             self.topology_spec, self.pattern_spec, self.algorithm_spec,
             self.seed, self.faults_spec, self.workload_spec,
         )
-
-    @property
-    def memo_key(self) -> MemoKey:
-        """All-pairs tables are shared across workloads and fault
-        scenarios (repair filters the *pristine* table), never across
-        these.
-
-        A live algorithm instance is keyed by its object identity, not
-        its bare name: two hand-built instances may share a name (or a
-        name but not their parameters), and serving one's cached table
-        to the other would silently mis-measure it.  Spec strings keep
-        their verbatim key — that is what the sweep's cross-worker
-        memoization and artifact identities rely on.
-        """
-        return (self.topology_spec, self._algorithm_key, self.seed)
-
-    @property
-    def _algorithm_key(self) -> str:
-        if isinstance(self.algorithm, RoutingAlgorithm):
-            return f"{self.algorithm.name}#{id(self.algorithm):x}"
-        return str(self.algorithm)
 
     @property
     def _pattern_key(self) -> str:
@@ -388,73 +329,65 @@ class Scenario:
 
     # -- cached evaluation intermediates --------------------------------
     def _pristine_tables(self, phases: Phases | None = None) -> list[RouteTable]:
-        """Per-phase pristine route tables, each routing its phase's pairs.
+        """The pristine routes of this scenario's traffic, routed once.
 
-        ``phases`` is ``phase_pairs(self.traffic)`` when the caller has
-        it already.
+        A phase scenario has one table per phase, routing that phase's
+        pairs (``phases`` is ``phase_pairs(self.traffic)`` when the
+        caller has it already).  A dynamic scenario has one table: the
+        routes of its stream's network arrivals, the stream generated
+        with the scenario seed (:func:`repro.workloads.route_stream`,
+        the routing the driver does).
         """
-        if phases is None:
-            phases = phase_pairs(self.traffic)
-        algorithm = self.routing
-        return [algorithm.build_table(pairs) for pairs, _ in phases]
+        if self._pristine is None:
+            algorithm = self.routing
+            if self.is_dynamic:
+                stream = self.dynamic_workload.generate(seed=self.seed)
+                self._pristine = [route_stream(algorithm, stream)]
+            else:
+                if phases is None:
+                    phases = phase_pairs(self.traffic)
+                self._pristine = [algorithm.build_table(pairs) for pairs, _ in phases]
+        return self._pristine
 
     def route_table(self) -> RouteTable:
         """The pristine routes of this scenario's traffic, merged.
 
-        Phase scenarios merge their per-phase tables; dynamic scenarios
-        return the oblivious scheme's *all-pairs* table — the artifact
-        that answers every future arrival (a pattern-aware scheme has no
-        such static table under churn, and raises).  Cached; repeated
-        calls and :meth:`degraded` reuse it.
+        Phase scenarios merge their per-phase tables.  A dynamic
+        scenario returns the routes of its stream's network arrivals
+        (``src != dst``), in stream order; a pattern-aware scheme has no
+        static routes under churn, and raises.  Routed once: repeated
+        calls, :meth:`degraded` and a phase scenario's :meth:`evaluate`
+        reuse the routes.
         """
-        if self.is_dynamic:
-            if not is_oblivious(self.routing):
-                raise ValueError(
-                    f"{self.algorithm_spec!r} is pattern-aware: it has no "
-                    "static route table under an open-loop workload"
-                )
-            return self._cache.all_pairs_table(self.memo_key, self.routing)
-        if self._pristine is None:
-            self._pristine = self._pristine_tables()
-        if not self._pristine:
+        if self.is_dynamic and not is_oblivious(self.routing):
+            raise ValueError(
+                f"{self.algorithm_spec!r} is pattern-aware: it has no "
+                "static route table under an open-loop workload"
+            )
+        tables = self._pristine_tables()
+        if not tables:
             return self.routing.build_table([])
-        return concat_tables(self._pristine)
+        return concat_tables(tables)
 
     def degraded(self) -> DegradedTopology | None:
         """The degraded fabric this scenario runs on (``None`` if pristine).
 
-        Faults are realized against the *routed* traffic, so adversarial
-        specs (``worst-links:...``) cut the most loaded cables of this
-        very scenario's routes.  A dynamic scenario's routed traffic is
-        the oblivious all-pairs table (uniform arrivals exercise every
-        row); a pattern-aware dynamic scenario realizes traffic-blind.
-        """
-
-        def routed() -> RouteTable | None:
-            if self.is_dynamic and not is_oblivious(self.routing):
-                return None  # no static table under churn: traffic-blind
-            return self.route_table()
-
-        return self._realized_faults(routed)
-
-    def _realized_faults(
-        self, traffic: Callable[[], RouteTable | None]
-    ) -> DegradedTopology | None:
-        """Realize the fault spec once; later calls return the same fabric.
-
-        Realization is a pure function of (topology, spec, routed
-        traffic), so the first result serves every later evaluation.
-        ``traffic`` returns the routed traffic and is called only when
-        the spec needs it (``worst-links``): a pristine scenario, a
-        memoized realization and a random ``links:``/``switches:`` spec
-        build no route table.
+        Faults are realized once, against the *routed* traffic, so
+        adversarial specs (``worst-links:...``) cut the most loaded
+        cables of this very scenario's routes: a phase scenario's
+        phases, a dynamic scenario's stream arrivals
+        (:meth:`route_table`).  A pattern-aware dynamic scenario has no
+        static routes and realizes traffic-blind.  A pristine scenario
+        and a random ``links:``/``switches:`` spec route nothing.
         """
         if not self._degraded_done:
             spec = self.fault_spec
             if spec.kind != "none":
                 _reject_graph_faults(self.topo, self.routing, self.faults_spec)
-                routed = traffic() if spec.needs_traffic else None
-                table = routed if routed is not None and len(routed) else None
+                table = None
+                if spec.needs_traffic and (not self.is_dynamic or is_oblivious(self.routing)):
+                    routed = self.route_table()
+                    table = routed if len(routed) else None
                 self._degraded = DegradedTopology(self.topo, spec.realize(self.topo, table=table))
             self._degraded_done = True
         return self._degraded
@@ -482,7 +415,6 @@ class Scenario:
             metrics=metrics,
             engine=engine,
             config=config,
-            cache=self._cache,
             crossbar_memo=self._crossbar_memo,
         )
 
@@ -572,14 +504,14 @@ def evaluate_scenario(
     metrics: Sequence[str] | None = None,
     engine: str = DEFAULT_ENGINE,
     config: NetworkConfig = PAPER_CONFIG,
-    cache: RouteTableCache | None = None,
     crossbar_memo: CrossbarMemo | None = None,
 ) -> ScenarioResult:
     """Evaluate one scenario and return its :class:`ScenarioResult`.
 
-    The sweep engine calls this per grid cell with a shared ``cache``,
-    which only dynamic cells read; :meth:`Scenario.evaluate` calls it
-    with the scenario's own cache and ``crossbar_memo``.  The crossbar
+    The sweep engine calls this per grid cell; :meth:`Scenario.evaluate`
+    calls it with the scenario's own ``crossbar_memo``.  A phase
+    scenario is routed once: :meth:`Scenario.route_table`,
+    :meth:`Scenario.degraded` and this share its cached routes.  The crossbar
     reference of a spec-named pattern is memoized process-wide
     (:mod:`repro.metrics`); ``crossbar_memo`` holds those of live
     patterns.  Metric values are computed by the registered
@@ -591,7 +523,7 @@ def evaluate_scenario(
     t0 = time.perf_counter()
     resolve_engine(engine)  # fail fast on unknown engine names
     if scenario.is_dynamic:
-        return _evaluate_dynamic(scenario, engine=engine, config=config, cache=cache, t0=t0)
+        return _evaluate_dynamic(scenario, engine=engine, config=config, t0=t0)
     metric_fns = resolve_metrics(tuple(metrics) if metrics is not None else DEFAULT_METRICS)
     topo = scenario.topo
     pattern = scenario.traffic
@@ -612,7 +544,7 @@ def evaluate_scenario(
     # each cell's adversary watches that cell's own routes, so every
     # scheme faces *its own* worst case (per-cell fabrics, see
     # fault_info for what was actually cut)
-    degraded = scenario._realized_faults(lambda: concat_tables(tables) if tables else None)
+    degraded = scenario.degraded()
     fault_info: dict[str, int] = {}
     baseline_agg = None
     if degraded is not None:
@@ -674,14 +606,14 @@ def _evaluate_dynamic(
     scenario: Scenario,
     engine: str,
     config: NetworkConfig,
-    cache: RouteTableCache | None,
     t0: float,
 ) -> ScenarioResult:
     """The dynamic (open-loop) evaluation path behind the facade.
 
-    Oblivious schemes reuse the shared all-pairs table cache, so in a
-    sweep one route table serves every dynamic cell of a ``(topology,
-    algorithm, seed)`` group.  The arrival stream is seeded by the
+    The driver routes the arrivals of the stream it runs
+    (:class:`~repro.workloads.DynamicDriver`); a ``worst-links`` spec is
+    realized against those same pristine routes
+    (:meth:`Scenario.degraded`).  The arrival stream is seeded by the
     scenario seed: two engines (or two algorithms sharing a seed) face
     the identical stream.
     """
@@ -695,13 +627,8 @@ def _evaluate_dynamic(
             f"({', '.join(fluid_engine_names())})"
         )
     algorithm = scenario.routing
-    cache = cache if cache is not None else scenario._cache
     workload = scenario.dynamic_workload
-    table = None
-    if is_oblivious(algorithm):
-        table = cache.all_pairs_table(scenario.memo_key, algorithm)
-
-    degraded = scenario._realized_faults(lambda: table)
+    degraded = scenario.degraded()
 
     # the driver runs on the *machine* the algorithm routes: a graph
     # scheme given an XGFT spec lowers it, so its tables index the
@@ -713,7 +640,6 @@ def _evaluate_dynamic(
         config=config,
         degraded=degraded,
         repair_seed=scenario.seed,
-        all_pairs_table=table,
         sample_seed=scenario.seed,
     )
     stream = workload.generate(seed=scenario.seed)
@@ -794,21 +720,18 @@ def compare(
     engine: str = DEFAULT_ENGINE,
     config: NetworkConfig = PAPER_CONFIG,
 ) -> Comparison:
-    """Evaluate scenarios with shared caches and tabulate the metrics.
+    """Evaluate scenarios and tabulate the metrics.
 
-    Dynamic scenarios sharing a ``(topology, algorithm, seed)`` identity
-    reuse one all-pairs route table; the crossbar reference is computed
-    once per (pattern, machine size).
+    Each scenario routes its own traffic; the crossbar reference of a
+    live pattern is computed once per (pattern, machine size) across
+    the scenarios.
     """
     if not scenarios:
         raise ValueError("compare needs at least one scenario")
     names = tuple(metrics) if metrics is not None else DEFAULT_METRICS
-    cache = RouteTableCache()
     memo: CrossbarMemo = {}
     results = tuple(
-        evaluate_scenario(
-            s, metrics=names, engine=engine, config=config, cache=cache, crossbar_memo=memo
-        )
+        evaluate_scenario(s, metrics=names, engine=engine, config=config, crossbar_memo=memo)
         for s in scenarios
     )
     return Comparison(results=results, metrics=names)

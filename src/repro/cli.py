@@ -555,12 +555,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = experiments.run_sweep(spec, jobs=args.jobs, run_filter=args.run_filter)
     path = experiments.write_artifact(result, args.output)
     print(experiments.format_sweep_results(result, max_rows=args.max_rows))
-    cache = result.cache_stats
-    print(
-        f"\n{len(result.runs)} runs in {result.total_wall_time_s:.1f}s "
-        f"(jobs={args.jobs}; all-pairs tables: {cache['table_builds']} built, "
-        f"{cache['table_hits']} reused)"
-    )
+    print(f"\n{len(result.runs)} runs in {result.total_wall_time_s:.1f}s (jobs={args.jobs})")
     print(f"artifact written to {path}")
     return 0
 

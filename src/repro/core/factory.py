@@ -88,10 +88,11 @@ def is_oblivious(algorithm: RoutingAlgorithm) -> bool:
     keeps the no-op :meth:`~RoutingAlgorithm.prepare` hook (neither its
     class nor the instance itself overrides it — wrappers such as
     :class:`repro.faults.repair.RepairedRouting` delegate via an
-    instance attribute).  Dynamic scenarios, the route store and
-    ``repro serve`` use a prebuilt all-pairs table only for oblivious
-    schemes — a pattern-aware scheme's answers change with every
-    pattern.
+    instance attribute).  Only an oblivious scheme's routes can be
+    built ahead of the traffic: the dynamic driver routes a whole
+    arrival stream up front, and the route store and ``repro serve``
+    hold its all-pairs table — a pattern-aware scheme's answers change
+    with every pattern.
     """
     return (
         type(algorithm).prepare is RoutingAlgorithm.prepare

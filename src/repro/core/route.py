@@ -343,10 +343,10 @@ class RouteTable:
         """A new table holding rows ``idx`` (gathered, copies).
 
         The row-subsetting primitive shared with
-        :meth:`repro.graphs.table.PathTable.take` — callers slicing an
-        all-pairs table (the dynamic driver's arrival lookup) go through
-        this instead of spelling out the columns, so both table kinds
-        subset the same way.
+        :meth:`repro.graphs.table.PathTable.take` — callers cutting rows
+        from a routed table (the dynamic driver's arrival batches from
+        its stream's routes) go through this instead of spelling out the
+        columns, so both table kinds subset the same way.
         """
         idx = np.asarray(idx, dtype=np.int64)
         return RouteTable(

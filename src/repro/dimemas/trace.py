@@ -137,6 +137,17 @@ class Barrier:
 Record = Union[Compute, Send, Recv, Isend, Irecv, WaitAll, SendRecv, Barrier]
 
 
+def _peer_problem(rank: int, rec: Record, num_ranks: int) -> str | None:
+    """Why ``rank``'s record ``rec`` names a bad peer, or ``None``."""
+    for attr in ("dst", "src", "peer"):
+        peer = getattr(rec, attr, None)
+        if peer is not None and not 0 <= peer < num_ranks:
+            return f"rank {rank}: record {rec} references rank {peer} outside [0, {num_ranks})"
+        if peer == rank:
+            return f"rank {rank}: self-communication in {rec}"
+    return None
+
+
 class Trace:
     """Per-rank programs plus the rank count."""
 
@@ -150,18 +161,11 @@ class Trace:
         self._validate()
 
     def _validate(self) -> None:
-        n = self.num_ranks
         for rank, prog in enumerate(self.programs):
             for rec in prog:
-                for attr in ("dst", "src", "peer"):
-                    peer = getattr(rec, attr, None)
-                    if peer is not None and not 0 <= peer < n:
-                        raise ValueError(
-                            f"rank {rank}: record {rec} references rank {peer} "
-                            f"outside [0, {n})"
-                        )
-                    if peer == rank:
-                        raise ValueError(f"rank {rank}: self-communication in {rec}")
+                problem = _peer_problem(rank, rec, self.num_ranks)
+                if problem:
+                    raise ValueError(problem)
 
     def __len__(self) -> int:
         return sum(len(p) for p in self.programs)
@@ -203,10 +207,11 @@ class Trace:
 
         The rank count is N from a ``# dimemas-lite trace, N ranks``
         header before the first record, else the largest rank + 1.  A
-        record of a rank outside the count, and either count above
-        :data:`MAX_RANKS`, is rejected.  Other ``#`` lines are comments.
+        record of a rank outside the count, or naming a peer outside it,
+        and either count above :data:`MAX_RANKS`, is rejected.  Other
+        ``#`` lines are comments.
         """
-        programs: dict[int, list[Record]] = {}
+        parsed: list[tuple[int, int, Record]] = []
         declared: int | None = None
         max_rank = -1
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -214,7 +219,7 @@ class Trace:
             header = _HEADER.match(line)
             if header:
                 declared = int(header.group(1))
-                if programs or not 1 <= declared <= MAX_RANKS:
+                if parsed or not 1 <= declared <= MAX_RANKS:
                     raise ValueError(
                         f"line {lineno}: {raw!r} must come before every record "
                         f"and declare 1 to {MAX_RANKS} ranks"
@@ -252,7 +257,13 @@ class Trace:
                     raise ValueError(f"unknown op {op!r}")
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
-            programs.setdefault(rank, []).append(rec)
+            parsed.append((lineno, rank, rec))
             max_rank = max(max_rank, rank)
         num_ranks = max_rank + 1 if declared is None else declared
-        return Trace([programs.get(r, ()) for r in range(num_ranks)])
+        programs: list[list[Record]] = [[] for _ in range(num_ranks)]
+        for lineno, rank, rec in parsed:
+            problem = _peer_problem(rank, rec, num_ranks)
+            if problem:
+                raise ValueError(f"line {lineno}: {problem}")
+            programs[rank].append(rec)
+        return Trace(programs)

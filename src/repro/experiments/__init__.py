@@ -45,7 +45,6 @@ from .sweep import (
     KNOWN_METRICS,
     RESILIENCE_METRICS,
     SCHEMA_VERSION,
-    RouteTableCache,
     RunSpec,
     SweepResult,
     SweepSpec,
@@ -89,7 +88,6 @@ __all__ = [
     "SweepSpec",
     "RunSpec",
     "SweepResult",
-    "RouteTableCache",
     "plan_runs",
     "run_sweep",
     "execute_run",

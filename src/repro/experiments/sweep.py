@@ -15,10 +15,9 @@ axis resolves through the unified registries (:mod:`repro.registry`),
 so new algorithms, patterns, topologies and metrics join a sweep by
 *registration*, not by editing this module.
 
-A phase cell routes only the pairs of its own phases.  The dynamic
-cells of a ``(topology, algorithm, seed)`` group share one all-pairs
-table of an oblivious scheme, built once per group: every arrival of
-an open-loop workload may ask for any pair.
+Every cell routes only the pairs its traffic sends: a phase cell the
+pairs of its phases, a dynamic cell the arrivals of its stream.  No
+cell builds an all-pairs table.
 
 :func:`write_artifact` / :func:`load_artifact` give a deterministic,
 schema-versioned JSON artifact (``docs/sweep_schema.md``) that CI jobs
@@ -42,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..api import RouteTableCache, Scenario, evaluate_scenario, format_run_id
+from ..api import Scenario, evaluate_scenario, format_run_id
 from ..core.factory import SINGLE_SEED_ALGORITHMS
 from ..faults import parse_fault_spec
 from ..metrics import DEFAULT_METRICS, KNOWN_METRICS, METRICS, RESILIENCE_METRICS
@@ -62,7 +61,6 @@ __all__ = [
     "SweepSpec",
     "RunSpec",
     "SweepResult",
-    "RouteTableCache",
     "format_run_id",
     "record_id",
     "plan_runs",
@@ -77,9 +75,9 @@ __all__ = [
 
 #: version stamp of the JSON artifact layout (docs/sweep_schema.md);
 #: v2 added the ``faults`` axis and the resilience metrics, v3 the
-#: ``workloads`` axis (dynamic open-loop cells with FCT metrics).  The
-#: optional ``obs`` section (span aggregates of traced sweeps) is
-#: additive and only present when tracing was on, so it needs no bump.
+#: ``workloads`` axis (dynamic open-loop cells with FCT metrics).  Adding
+#: an optional section (``obs``: span aggregates, present only when
+#: tracing was on) or dropping one that no reader uses needs no bump.
 SCHEMA_VERSION = 3
 
 # reusable do-nothing context manager for untraced runs
@@ -242,9 +240,8 @@ class RunSpec:
 
     @property
     def memo_key(self) -> tuple[str, str, int]:
-        """The dynamic cells of a group share one all-pairs table across
-        workloads and fault scenarios (repair filters the *pristine*
-        table); phase cells route their own pairs."""
+        """The work group of this cell: the sweep runs the cells of one
+        ``(topology, algorithm, seed)`` in one worker, in plan order."""
         return (self.topology, self.algorithm, self.seed)
 
     def scenario(self) -> Scenario:
@@ -262,8 +259,8 @@ def plan_runs(spec: SweepSpec, run_filter: str | None = None) -> tuple[RunSpec, 
     """The grid's cartesian product, memo-key-contiguous.
 
     Runs sharing a ``(topology, algorithm, seed)`` memo key are
-    consecutive, so parallel chunking by memo key keeps each all-pairs
-    table build of the dynamic cells inside one worker.
+    consecutive, so parallel chunking by memo key keeps each group in
+    one worker.
     Deterministic/single-series algorithms collapse the seed axis to
     ``{0}`` on the pristine topology; under a fault scenario the seed
     still varies the *repair* draw, and under a *seeded* dynamic
@@ -324,7 +321,7 @@ def execute_run(
     run: RunSpec,
     metrics: Sequence[str],
     engine: str = DEFAULT_ENGINE,
-    cache: RouteTableCache | None = None,
+    cache: object = None,
     config=None,
     _crossbar_memo: dict | None = None,
 ) -> dict:
@@ -332,7 +329,9 @@ def execute_run(
 
     A cell names its pattern by spec, so its crossbar reference comes
     from the process-wide memo of :mod:`repro.metrics`;
-    ``_crossbar_memo`` only serves live patterns.
+    ``_crossbar_memo`` only serves live patterns.  ``cache`` is ignored:
+    the benchmark's paper-grid driver still passes a
+    :class:`repro.api.RouteTableCache` placeholder in that position.
     """
     from ..sim.config import PAPER_CONFIG
 
@@ -341,7 +340,6 @@ def execute_run(
         metrics=metrics,
         engine=engine,
         config=config if config is not None else PAPER_CONFIG,
-        cache=cache,
         crossbar_memo=_crossbar_memo,
     )
     return result.to_record()
@@ -356,7 +354,6 @@ class SweepResult:
 
     spec: SweepSpec
     runs: list[dict]
-    cache_stats: dict = field(default_factory=dict)
     total_wall_time_s: float = 0.0
     #: per-span-name ``{count, total_s, max_s}`` aggregated across every
     #: worker process; empty unless the sweep ran under tracing
@@ -368,7 +365,6 @@ class SweepResult:
             "kind": "repro-sweep-results",
             "spec": self.spec.to_dict(),
             "environment": _environment(),
-            "cache": dict(self.cache_stats),
             "total_wall_time_s": round(self.total_wall_time_s, 6),
             "runs": self.runs,
         }
@@ -396,8 +392,8 @@ def _environment() -> dict:
 
 def _execute_group(
     payload: tuple[dict, list[tuple[int, dict]], bool],
-) -> tuple[list, dict, dict]:
-    """Worker entry: one memo group, with one all-pairs table cache.
+) -> tuple[list, dict]:
+    """Worker entry: the cells of one memo group, in plan order.
 
     With ``trace`` set, every run executes under a ``sweep.run`` span
     and the group returns the bounded per-name span aggregate of the
@@ -407,7 +403,6 @@ def _execute_group(
     """
     spec_d, indexed_runs, trace = payload
     spec = SweepSpec.from_dict(spec_d)
-    cache = RouteTableCache()
     base_spans = 0
     if trace:
         # re-arming per-process infrastructure, not sharing state:
@@ -418,10 +413,10 @@ def _execute_group(
     for index, run_d in indexed_runs:
         run = RunSpec(**run_d)
         with TRACER.span("sweep.run", run_id=run.run_id) if trace else _NULL_CM:
-            record = execute_run(run, spec.metrics, spec.engine, cache)
+            record = execute_run(run, spec.metrics, spec.engine)
         out.append((index, record))
     obs = aggregate_spans(TRACER.spans()[base_spans:]) if trace else {}
-    return out, cache.stats(), obs
+    return out, obs
 
 
 def run_sweep(
@@ -431,17 +426,14 @@ def run_sweep(
 ) -> SweepResult:
     """Execute a sweep, serial (``jobs=1``) or process-parallel.
 
-    Parallel execution partitions the plan by memo key, so the all-pairs
-    table of a ``(topology, algorithm, seed)`` group's dynamic cells is
-    built exactly once in exactly one worker.  ``cache_stats`` counts
-    those builds and reuses; a sweep of phase cells only reports zero
-    of both.  Results are deterministic and ordered by the plan,
-    independent of ``jobs``.
+    Parallel execution partitions the plan by memo key, one
+    ``(topology, algorithm, seed)`` group per task.  Results are
+    deterministic and ordered by the plan, independent of ``jobs``.
     """
     t0 = time.perf_counter()
     runs = plan_runs(spec, run_filter)
     if not runs:
-        return SweepResult(spec, [], {"table_builds": 0, "table_hits": 0}, 0.0)
+        return SweepResult(spec, [], 0.0)
 
     trace = _obs_active() and TRACER.enabled
     groups: dict[tuple, list[tuple[int, dict]]] = {}
@@ -450,7 +442,6 @@ def run_sweep(
     payloads = [(spec.to_dict(), indexed, trace) for indexed in groups.values()]
 
     records: list[dict | None] = [None] * len(runs)
-    stats = {"table_builds": 0, "table_hits": 0}
     obs_agg: dict = {}
     jobs = max(1, min(jobs, len(payloads)))
     if jobs == 1:
@@ -463,14 +454,12 @@ def run_sweep(
         finally:
             pool.close()
             pool.join()
-    for group_records, group_stats, group_obs in results:
+    for group_records, group_obs in results:
         for index, record in group_records:
             records[index] = record
-        for key in stats:
-            stats[key] += group_stats[key]
         merge_span_aggregates(obs_agg, group_obs)
     assert all(r is not None for r in records)
-    return SweepResult(spec, records, stats, time.perf_counter() - t0, obs_agg)
+    return SweepResult(spec, records, time.perf_counter() - t0, obs_agg)
 
 
 # ----------------------------------------------------------------------

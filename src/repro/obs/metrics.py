@@ -2,8 +2,8 @@
 
 One process-wide :class:`MetricsRegistry` (:data:`REGISTRY`) holds
 every metric in the package; the pre-existing ad-hoc stats dicts
-(``RouteTableCache.stats()``, ``RouteServer.stats()``,
-``DriverStats``) are now *views* over instruments registered here, so
+(``RouteServer.stats()``, ``DriverStats``) are now *views* over
+instruments registered here, so
 the same numbers are available both in their historical dict shapes
 and through :meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.prometheus`.

@@ -115,8 +115,8 @@ class StoreKey:
         ``topology`` accepts any resolvable spelling or a live
         :class:`~repro.topology.XGFT`; ``algorithm`` must be a registry
         spec string — live instances have no canonical cross-process
-        identity and are rejected (they are served from the in-memory
-        cache only; see :class:`repro.api.RouteTableCache`).
+        identity and are rejected (a :class:`repro.api.Scenario` over a
+        live instance routes its own traffic instead).
         """
         if not isinstance(algorithm, str):
             raise TypeError(

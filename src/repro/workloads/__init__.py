@@ -9,14 +9,15 @@ traffic arriving forever — that oblivious routing is actually for:
   arrivals, ``onoff(...)`` bursty sources, ``trace(path=...)`` CSV/JSONL
   replay, with registry-selectable size distributions (:data:`SIZES`);
 * :class:`DynamicDriver` — the event-driven merge of an arrival stream
-  with engine completions over any registered fluid backend;
+  with engine completions over any registered fluid backend, routing
+  the stream's arrivals through :func:`route_stream`;
 * :mod:`~repro.workloads.online` — bounded-memory FCT / slowdown /
   throughput / utilization measurement.
 
 See ``docs/workloads.md``.
 """
 
-from .driver import DYNAMIC_METRICS, DriverStats, DynamicDriver, DynamicResult
+from .driver import DYNAMIC_METRICS, DriverStats, DynamicDriver, DynamicResult, route_stream
 from .generators import (
     DEFAULT_FLOWS,
     WORKLOADS,
@@ -54,6 +55,7 @@ __all__ = [
     "register_workload",
     "resolve_size_dist",
     "resolve_workload",
+    "route_stream",
     "trace_format",
     "uniform_pairs",
     "write_trace",

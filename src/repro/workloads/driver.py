@@ -6,9 +6,12 @@ with the completion stream of any registered fluid-kind engine
 surface both engines already expose: ``advance_to`` up to the next
 arrival instant, ``advance_to_next_completion`` when a completion comes
 first, batch ``add_flows`` for every arrival batch, and
-``link_rates`` for the utilization samples.  Routes are
-installed *before* the traffic exists — the all-pairs table of an
-oblivious scheme answers every arrival by row lookup, which is the
+``link_rates`` for the utilization samples.  An oblivious scheme's
+route is a function of the pair alone, so its routes are installed
+*before* the traffic exists: :meth:`DynamicDriver.run` routes the
+stream's network arrivals in one
+:meth:`~repro.core.base.RoutingAlgorithm.build_table` call
+(:func:`route_stream`) and each arrival batch takes its rows — the
 operational meaning of obliviousness under churn (Räcke & Schmid,
 *Compact Oblivious Routing*).  Pattern-aware schemes still run (each
 arrival batch is routed as it appears), but what they "see" is only the
@@ -16,9 +19,10 @@ batch — open-loop traffic is precisely the regime where their pattern
 knowledge evaporates.
 
 Faults compose: pass a :class:`~repro.faults.DegradedTopology` and the
-all-pairs table is locally repaired once (:func:`repro.faults.repair_table`);
-arrivals between disconnected pairs are *rejected* and counted — under
-churn, flow loss shows up as refused admissions, not broken phases.
+stream's routes are locally repaired once (:func:`repro.faults.repair_table`,
+whose draw depends only on the pair); arrivals between disconnected
+pairs are *rejected* and counted — under churn, flow loss shows up as
+refused admissions, not broken phases.
 
 The measurement layer is online and O(1) in the stream length
 (:mod:`repro.workloads.online`): exact FCT/slowdown means plus
@@ -45,7 +49,7 @@ from ..sim.network import flow_incidence, xgft_link_space
 from .online import OnlineStat, StatSummary, UtilSample, UtilSeries
 from .stream import ArrivalStream
 
-__all__ = ["DriverStats", "DynamicDriver", "DynamicResult", "DYNAMIC_METRICS"]
+__all__ = ["DriverStats", "DynamicDriver", "DynamicResult", "DYNAMIC_METRICS", "route_stream"]
 
 #: the metric names a dynamic run records (all lower-is-better, so the
 #: sweep regression gate's comparison convention carries over)
@@ -71,8 +75,11 @@ class DriverStats:
 
     ``events`` counts loop iterations; every event is either a
     completion harvest or an arrival batch.  The ``*_s`` timers
-    partition the run's wall time by phase (routing time is a subset of
-    arrival time — table lookup happens inside the arrival phase).
+    partition the run's wall time by phase.  ``route_s`` times all
+    routing: for an oblivious scheme the one routing (and repair) of
+    the whole stream before the loop plus each batch's row take inside
+    the arrival phase, for a pattern-aware scheme the per-batch routing
+    inside the arrival phase — so it is not a subset of ``arrivals_s``.
     ``refill_s`` times the ``next_completion_time()`` call that opens
     every event, where both vectorized engines refill; a refill that a
     kept utilization snapshot forces first counts as snapshot time.
@@ -214,6 +221,18 @@ class DynamicResult:
         }
 
 
+def route_stream(algorithm: RoutingAlgorithm, stream: ArrivalStream) -> RouteTable:
+    """The routes of a stream's network arrivals (``src != dst``), in stream order.
+
+    One :meth:`~repro.core.base.RoutingAlgorithm.build_table` call over
+    the whole stream.  For an oblivious scheme a route depends on the
+    pair alone, so these rows equal the scheme's all-pairs rows of the
+    same pairs.
+    """
+    network = stream.src != stream.dst
+    return algorithm.build_table(np.stack((stream.src[network], stream.dst[network]), axis=1))
+
+
 class DynamicDriver:
     """Drives one open-loop arrival stream through a fluid engine.
 
@@ -228,10 +247,6 @@ class DynamicDriver:
     degraded:
         Optional :class:`~repro.faults.DegradedTopology`; routes are
         locally repaired against it and disconnected pairs rejected.
-    all_pairs_table:
-        Optional prebuilt *pristine* all-pairs table for oblivious
-        schemes (the sweep's :class:`repro.api.RouteTableCache` passes
-        it so dynamic cells share tables with phase cells).
     fct_reservoir / util_capacity:
         Memory bounds of the online metrics layer.
     """
@@ -244,7 +259,6 @@ class DynamicDriver:
         config: NetworkConfig = PAPER_CONFIG,
         degraded=None,
         repair_seed: int = 0,
-        all_pairs_table: RouteTable | None = None,
         fct_reservoir: int = 8192,
         util_capacity: int = 256,
         sample_seed: int = 0,
@@ -265,66 +279,61 @@ class DynamicDriver:
         self.space = xgft_link_space(topo)
         self._obs_on = _obs_active()
         self._route_s = 0.0
-        self._rows: np.ndarray | None = None
-        self._full: RouteTable | None = None
-        if is_oblivious(algorithm):
-            full = (
-                all_pairs_table
-                if all_pairs_table is not None
-                else algorithm.all_pairs_table()
-            )
-            if degraded is not None:
-                from ..faults import repair_table
-
-                full = repair_table(full, degraded, seed=self.repair_seed).table
-            n = topo.num_leaves
-            rows = np.full(n * n, -1, dtype=np.int64)
-            rows[full.src * n + full.dst] = np.arange(len(full), dtype=np.int64)
-            self._full = full
-            self._rows = rows
+        self._oblivious = is_oblivious(algorithm)
+        # per run, for an oblivious scheme: the stream's (repaired)
+        # routes and each stream position's row in them (-1: a self-pair
+        # or a rejected arrival)
+        self._routes: RouteTable | None = None
+        self._row_of: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # Per-batch routing
+    # Routing
     # ------------------------------------------------------------------
-    def _route_batch(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> tuple[RouteTable, np.ndarray]:
-        """Route one arrival batch; returns (table, kept-mask).
-
-        The mask is over the batch: ``False`` marks rejected arrivals
-        (no surviving route under the degradation).  The table rows are
-        the kept arrivals, in batch order.
-        """
-        if self._obs_on and TRACER.enabled:
-            t0 = time.perf_counter()
-            with TRACER.span("driver.table_lookup", batch=len(src)):
-                out = self._route_batch_inner(src, dst)
-            self._route_s += time.perf_counter() - t0
-            return out
+    def _timed_route(self, fn, batch: int, *args):
+        """Run one routing step of ``batch`` arrivals inside ``route_s``
+        (and its span)."""
         t0 = time.perf_counter()
-        out = self._route_batch_inner(src, dst)
+        if self._obs_on and TRACER.enabled:
+            with TRACER.span("driver.table_lookup", batch=batch):
+                out = fn(*args)
+        else:
+            out = fn(*args)
         self._route_s += time.perf_counter() - t0
         return out
 
-    def _route_batch_inner(
-        self, src: np.ndarray, dst: np.ndarray
+    def _repair(self, table: RouteTable) -> tuple[RouteTable, np.ndarray]:
+        """``(surviving routes, kept-mask over table rows)`` on this fabric."""
+        if self.degraded is None:
+            return table, np.ones(len(table), dtype=bool)
+        from ..faults import repair_table
+
+        result = repair_table(table, self.degraded, seed=self.repair_seed)
+        return result.table, ~result.disconnected
+
+    def _route_whole_stream(self, stream: ArrivalStream) -> None:
+        """Route (and repair) every network arrival of the stream at once."""
+        self._routes, kept = self._repair(route_stream(self.algorithm, stream))
+        self._row_of = np.full(len(stream), -1, dtype=np.int64)
+        network = np.flatnonzero(stream.src != stream.dst)
+        self._row_of[network[kept]] = np.arange(len(self._routes), dtype=np.int64)
+
+    def _route_batch(
+        self, ids: np.ndarray, src: np.ndarray, dst: np.ndarray
     ) -> tuple[RouteTable, np.ndarray]:
-        if self._full is not None:
-            n = self.topo.num_leaves
-            idx = self._rows[src * n + dst]
+        """Routes of one batch's network arrivals (stream positions ``ids``).
+
+        Returns ``(table, kept-mask)``; the mask is over the batch,
+        ``False`` marking a rejected arrival (no surviving route under
+        the degradation), and the table rows are the kept arrivals, in
+        batch order.
+        """
+        if self._routes is not None:
+            idx = self._row_of[ids]
             kept = idx >= 0
-            idx = idx[kept]
             # take() keeps this path table-representation-agnostic:
             # XGFT port tables and graph path tables subset identically
-            return self._full.take(idx), kept
-        table = self.algorithm.build_table(np.stack((src, dst), axis=1))
-        if self.degraded is not None:
-            from ..faults import repair_table
-
-            result = repair_table(table, self.degraded, seed=self.repair_seed)
-            kept = ~result.disconnected
-            return result.table, kept
-        return table, np.ones(len(src), dtype=bool)
+            return self._routes.take(idx[kept]), kept
+        return self._repair(self.algorithm.build_table(np.stack((src, dst), axis=1)))
 
     # ------------------------------------------------------------------
     # The event loop
@@ -395,6 +404,9 @@ class DynamicDriver:
         events = arrival_batches = completion_events = 0
         completions_s = arrivals_s = snapshot_s = refill_s = 0.0
         self._route_s = 0.0
+        self._routes = None
+        if self._oblivious:
+            self._timed_route(self._route_whole_stream, n, stream)
         for _ in range(max_events):
             t_arr = times[i] if i < n else None
             t_phase = perf()
@@ -507,7 +519,7 @@ class DynamicDriver:
         offered = float(sizes.sum())
         if not len(ids):
             return n_self, 0, offered
-        table, kept = self._route_batch(src, dst)
+        table, kept = self._timed_route(self._route_batch, len(ids), ids, src, dst)
         n_rejected = int((~kept).sum())
         sizes, ids = sizes[kept], ids[kept]
         if not len(ids):

@@ -6,9 +6,12 @@ belong here.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import pytest
 
 from repro.topology import XGFT, kary_ntree, slimmed_two_level
+from tests.helpers import count_routing
 
 
 @pytest.fixture
@@ -39,3 +42,10 @@ def deep_tree() -> XGFT:
 def slimmed_deep_tree() -> XGFT:
     """A slimmed 3-level tree (w3 < m3)."""
     return XGFT((4, 4, 4), (1, 3, 2))
+
+
+@pytest.fixture
+def routing_calls() -> Iterator[dict]:
+    """The routing the test does (:func:`tests.helpers.count_routing`)."""
+    with count_routing() as calls:
+        yield calls

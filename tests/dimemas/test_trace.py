@@ -138,6 +138,15 @@ class TestTextRoundTrip:
         with pytest.raises(ValueError, match=r"line 3: .*rank 2 outside \[0, 2\)"):
             Trace.from_text(text)
 
+    @pytest.mark.parametrize("header", ["# dimemas-lite trace, 2 ranks\n", ""])
+    def test_peer_out_of_range_names_its_line(self, header):
+        """Regression: a peer outside the rank count was reported
+        without the line that named it."""
+        text = f"{header}0 compute 1\n1 recv 0 0\n0 send 5 10 0\n"
+        line = 4 if header else 3
+        with pytest.raises(ValueError, match=rf"line {line}: rank 0: .*rank 5 outside \[0, 2\)"):
+            Trace.from_text(text)
+
     @pytest.mark.parametrize(
         "text",
         [

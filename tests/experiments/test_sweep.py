@@ -10,7 +10,6 @@ from repro.experiments import (
     DEFAULT_METRICS,
     RESILIENCE_METRICS,
     SCHEMA_VERSION,
-    RouteTableCache,
     RunSpec,
     SweepSpec,
     execute_run,
@@ -134,30 +133,32 @@ class TestPlanning:
 
 
 class TestMemoization:
-    def test_phase_cells_build_no_all_pairs_table(self):
+    def test_phase_cells_build_no_all_pairs_table(self, routing_calls):
         # every phase cell routes only its own pairs
-        result = run_sweep(SMALL_SPEC)
-        assert result.cache_stats == {"table_builds": 0, "table_hits": 0}
+        run_sweep(SMALL_SPEC)
+        assert routing_calls["all_pairs"] == 0
 
-    def test_dynamic_cells_of_a_group_share_one_table(self):
-        cache = RouteTableCache()
+    def test_dynamic_cells_of_a_group_route_their_own_arrivals(self, routing_calls):
+        """A group's dynamic cells route their own streams, one
+        ``build_table`` call of 40 arrivals each, whatever ran before
+        them in the group."""
         workload = "poisson(load=0.5,flows=40)"
         run_a = RunSpec("XGFT(2;4,4;1,4)", "none", "random", 0, workload=workload)
         run_b = RunSpec("XGFT(2;4,4;1,4)", "none", "random", 0, "links:count=1,seed=2", workload)
         phase = RunSpec("XGFT(2;4,4;1,4)", "shift-1", "random", 0)
-        for run in (run_a, phase, run_b):
-            execute_run(run, DEFAULT_METRICS, cache=cache)
-        assert cache.stats() == {"table_builds": 1, "table_hits": 1}
-        assert len(cache._tables) == 1
+        records = [execute_run(run, DEFAULT_METRICS) for run in (run_a, phase, run_b)]
+        assert routing_calls["all_pairs"] == 0
+        assert routing_calls["pairs"] == [40, 16, 40]
+        assert [r["dynamic"]["flows"]["arrivals"] for r in records[::2]] == [40, 40]
 
-    def test_pattern_aware_not_memoized(self):
+    def test_pattern_aware_runs_per_cell(self, routing_calls):
         spec = SweepSpec(
             topologies=("XGFT(2;4,4;1,2)",),
             patterns=("shift-1", "bit-reversal"),
             algorithms=("colored",),
         )
         result = run_sweep(spec)
-        assert result.cache_stats == {"table_builds": 0, "table_hits": 0}
+        assert routing_calls["all_pairs"] == 0
         assert len(result.runs) == 2
 
 
@@ -169,7 +170,6 @@ class TestExecution:
         assert [r["load_histogram"] for r in serial.runs] == [
             r["load_histogram"] for r in parallel.runs
         ]
-        assert serial.cache_stats == parallel.cache_stats
 
     def test_run_order_matches_plan(self):
         result = run_sweep(SMALL_SPEC, jobs=3)
@@ -192,8 +192,10 @@ class TestExecution:
         assert set(metrics) == {"routes_per_nca", "max_link_load"}
         assert sum(metrics["routes_per_nca"]) == 16 * 15 - 4 * 4 * 3  # cross-switch pairs
 
-    def test_cache_stats_count_builds_and_hits_only(self):
-        assert set(run_sweep(SMALL_SPEC).cache_stats) == {"table_builds", "table_hits"}
+    def test_artifact_has_no_cache_section(self):
+        doc = run_sweep(SMALL_SPEC, run_filter="XGFT(2;4,4;1,2)*").to_dict()
+        assert "cache" not in doc
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
 
     def test_empty_filter_gives_empty_result(self):
         result = run_sweep(SMALL_SPEC, run_filter="no-such-run")
@@ -220,8 +222,6 @@ class TestObsAggregation:
         result = run_sweep(SMALL_SPEC, run_filter="XGFT(2;4,4;1,2)*")
         assert result.obs["sweep.run"]["count"] == len(result.runs)
         assert result.obs["sweep.run"]["total_s"] > 0.0
-        # phase cells route their own pairs: no all-pairs table is built
-        assert "cache.table_build" not in result.obs
         doc = result.to_dict()
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["obs"]["spans"]["sweep.run"]["count"] == len(result.runs)

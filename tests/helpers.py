@@ -8,15 +8,17 @@ collection; a regular module keeps them importable everywhere.
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from repro.patterns import Flow, Pattern, Phase
 from repro.topology import XGFT
 
-__all__ = ["xgft_strategy", "xgft_examples", "leaf_pairs", "placed", "rng"]
+__all__ = ["xgft_strategy", "xgft_examples", "leaf_pairs", "placed", "rng", "count_routing"]
 
 
 def xgft_strategy(max_h: int = 3, max_m: int = 5, max_w: int = 5, max_leaves: int = 256):
@@ -79,3 +81,33 @@ def placed(pattern: Pattern, leaf: Sequence[int]) -> Pattern:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@contextmanager
+def count_routing() -> Iterator[dict]:
+    """Count the routing done inside the block.
+
+    ``"pairs"`` lists the length of every
+    :meth:`RoutingAlgorithm.build_table` call (XGFT port schemes; graph
+    schemes override it), ``"all_pairs"`` counts
+    :meth:`RoutingAlgorithm.all_pairs_table` calls (every scheme).
+    """
+    from repro.core.base import RoutingAlgorithm
+
+    calls: dict = {"pairs": [], "all_pairs": 0}
+    build_table = RoutingAlgorithm.build_table
+    all_pairs_table = RoutingAlgorithm.all_pairs_table
+
+    def counting_build(self, pairs):
+        table = build_table(self, pairs)
+        calls["pairs"].append(len(table))
+        return table
+
+    def counting_all_pairs(self, *args, **kwargs):
+        calls["all_pairs"] += 1
+        return all_pairs_table(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoutingAlgorithm, "build_table", counting_build)
+        patch.setattr(RoutingAlgorithm, "all_pairs_table", counting_all_pairs)
+        yield calls

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 import repro.api
-from repro.api import Comparison, RouteTableCache, Scenario, compare, evaluate_scenario, open_table
+from repro.api import Comparison, RouteTableCache, Scenario, compare, open_table
 from repro.core import make_algorithm
 from repro.faults import parse_fault_spec
 from repro.patterns.registry import resolve_pattern
@@ -102,14 +102,24 @@ class TestScenarioEvaluation:
                     "load_histogram", "fault_info"):
             assert got.get(key) == record.get(key), key
 
-    def test_route_table_cached_and_reused(self):
+    def test_route_table_cached_and_reused(self, routing_calls):
         s = Scenario("XGFT(2;4,4;1,2)", "bit-reversal", "r-nca-d", seed=0)
         table = s.route_table()
         assert s.route_table() is table
         assert len(table) == len([p for p in s.traffic.pairs() if p[0] != p[1]])
-        # a phase scenario routes its own pairs: no all-pairs table
+        # a phase scenario routes its own pairs, once: no all-pairs table
         s.evaluate(metrics=("max_link_load",))
-        assert s._cache.builds == 0
+        assert routing_calls == {"pairs": [len(table)], "all_pairs": 0}
+
+    @pytest.mark.parametrize("first", ["route_table", "degraded"])
+    def test_evaluate_reuses_the_scenario_routes(self, routing_calls, first):
+        """Regression: evaluate() routed a phase scenario again after
+        route_table() or an adversarial degraded() had routed it."""
+        faults = "worst-links:count=2" if first == "degraded" else "none"
+        s = Scenario("XGFT(2;4,4;1,4)", "bit-reversal", "d-mod-k", faults=faults)
+        getattr(s, first)()
+        s.evaluate(metrics=("max_link_load",))
+        assert routing_calls["pairs"] == [12]
 
     def test_degraded_none_when_pristine(self):
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k")
@@ -124,29 +134,34 @@ class TestScenarioEvaluation:
         assert degraded.num_failed_cables == 2
         assert s.degraded() is degraded  # cached
 
-    def test_random_faults_route_nothing(self):
+    def test_random_faults_route_nothing(self, routing_calls):
         """A traffic-blind spec is realized without routing the pattern."""
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k", faults="links:count=2,seed=1")
         assert s.degraded().num_failed_cables == 2
-        assert s._cache.builds == 0
+        assert routing_calls == {"pairs": [], "all_pairs": 0}
 
-    def test_dynamic_worst_links_realized_in_the_handed_cache(self):
-        """An adversarial dynamic scenario evaluated through a shared
-        cache builds its all-pairs table there, once; degraded() then
-        serves that realization without routing again."""
-        s = Scenario(
-            "XGFT(2;4,4;1,2)",
-            "none",
-            "d-mod-k",
-            faults="worst-links:count=2",
-            workload="poisson(load=0.5,flows=60)",
-        )
-        shared = RouteTableCache()
-        result = evaluate_scenario(s, cache=shared)
+    def test_dynamic_worst_links_realized_against_its_arrivals(self, routing_calls):
+        """A dynamic cell's adversary watches the routes of its own
+        arrivals.  Regression: it watched the scheme's all-pairs table,
+        so on sub-tree-local traffic it cut cables 128 and 129, which no
+        arrival crosses, and the run equalled the pristine one."""
+        workload = "poisson(load=3.0,sizes=uniform,spread=0.5,flows=300,locality=1.0,group=8)"
+        pristine = Scenario("XGFT(2;8,16;1,4)", "none", "d-mod-k", workload=workload)
+        s = pristine.with_(faults="worst-links:count=2")
+        result = s.evaluate()
         degraded = s.degraded()
-        assert (shared.builds, s._cache.builds) == (1, 0)
-        assert result.fault_info["failed_cables"] == degraded.num_failed_cables == 2
         assert s.degraded() is degraded
+        assert result.fault_info["failed_cables"] == degraded.num_failed_cables == 2
+        routes = s.route_table()
+        assert len(routes) == 300 and routing_calls["all_pairs"] == 0
+        # every cut cable carries at least one arrival's route (a cable
+        # is an up link and its down twin in the directed link space)
+        _, links = routes.flow_links()
+        crossed = set((links % s.topo.num_links_per_direction).tolist())
+        cut = np.nonzero(~degraded.cable_alive)[0].tolist()
+        assert len(cut) == 2 and set(cut) <= crossed
+        assert result.dynamic.num_rejected > 0
+        assert result.metrics != pristine.evaluate().metrics
 
     def test_metrics_default_and_custom_selection(self):
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k")
@@ -244,25 +259,28 @@ class TestCompare:
             "max_network_contention"
         ]
 
-    def test_shared_cache_across_scenarios(self):
-        """Phase scenarios never read the shared cache; dynamic scenarios
-        of one (topology, algorithm, seed) share one all-pairs table."""
-        cache = RouteTableCache()
+    def test_each_scenario_routes_its_own_traffic(self, routing_calls):
+        """Phase scenarios route their phases' pairs and dynamic ones
+        their arrivals; none builds an all-pairs table."""
         base = Scenario("XGFT(2;4,4;1,2)", "shift-1", "r-nca-d", seed=0)
-        evaluate_scenario(base, metrics=("max_link_load",), cache=cache)
-        evaluate_scenario(
-            base.with_(pattern="bit-reversal"), metrics=("max_link_load",), cache=cache
-        )
-        assert (cache.builds, cache.hits) == (0, 0)
         dynamic = base.with_(pattern="none", workload="poisson(load=0.5,flows=40)")
-        evaluate_scenario(dynamic, cache=cache)
-        evaluate_scenario(dynamic.with_(workload="poisson(load=0.8,flows=40)"), cache=cache)
-        assert (cache.builds, cache.hits) == (1, 1)
+        comparison = compare(
+            [
+                base,
+                base.with_(pattern="bit-reversal"),
+                dynamic,
+                dynamic.with_(workload="poisson(load=0.8,flows=40)"),
+            ],
+            metrics=("max_link_load",),
+        )
+        assert len(comparison.results) == 4
+        assert routing_calls["all_pairs"] == 0
+        assert routing_calls["pairs"] == [16, 12, 40, 40]
 
     def test_live_instances_with_equal_names_do_not_share_tables(self):
         """Regression: distinct live algorithm instances used to collide
-        on their bare class name in a shared RouteTableCache, serving
-        one instance's cached all-pairs table to the other."""
+        on their bare class name in a shared route-table cache, serving
+        one instance's cached table to the other."""
         topo = XGFT((8, 8), (1, 4))
         a1 = make_algorithm("r-nca-d", topo, seed=1)
         a2 = make_algorithm("r-nca-d", topo, seed=2)
@@ -280,12 +298,6 @@ class TestCompare:
         got = [r.metrics["max_link_load"] for r in comparison.results]
         assert got == [r.metrics["max_link_load"] for r in expected]
 
-    def test_spec_string_memo_key_stays_verbatim(self):
-        """The sweep's cross-worker memoization contract: string-spec
-        scenarios keep (topology, algorithm, seed) as their cache key."""
-        s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "r-nca-d(map_kind=mod)", seed=3)
-        assert s.memo_key == ("XGFT(2;4,4;1,2)", "r-nca-d(map_kind=mod)", 3)
-
     def test_degraded_realized_once_across_evaluate_calls(self):
         s = Scenario(
             "XGFT(2;4,4;1,2)", "shift-1", "d-mod-k", faults="worst-links:count=2"
@@ -300,8 +312,15 @@ class TestCompare:
 
 
 class TestRouteTableCache:
-    def test_stats_count_builds_and_hits_only(self):
-        assert RouteTableCache().stats() == {"table_builds": 0, "table_hits": 0}
+    def test_placeholder_changes_nothing(self):
+        """The benchmark still hands ``execute_run`` a cache; it is ignored."""
+        from repro.experiments.sweep import RunSpec, execute_run
+
+        run = RunSpec("XGFT(2;4,4;1,2)", "bit-reversal", "random", 1)
+        with_cache = execute_run(run, ("max_link_load",), "fluid-vec", RouteTableCache())
+        without = execute_run(run, ("max_link_load",), "fluid-vec")
+        assert with_cache["metrics"] == without["metrics"]
+        assert not vars(RouteTableCache())
 
     def test_store_entry_serves_the_scenario_routes(self, tmp_path):
         """The persistent way to a table is ``open_table``: its rows for

@@ -5,8 +5,9 @@ pure functions of the inputs, so they cannot flake.  Each is pinned as
 an upper bound equal to its value when the pin was set: a change that
 does more work (an extra refill per epoch, an extra route-table build)
 fails here, and a change that does less passes and lowers the pin to
-record its gain.  The pairs a sweep routes are pinned exactly: a phase
-routes its own pairs, so fewer would mean a pair went unrouted.
+record its gain.  The pairs a sweep or a stream routes are pinned
+exactly: a cell routes the pairs its traffic sends, so fewer would mean
+a pair went unrouted.  No evaluation builds an all-pairs table.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import pytest
 
 from repro.api import Scenario
 from repro.core import make_algorithm
-from repro.core.base import RoutingAlgorithm
 from repro.dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace
 from repro.experiments import SweepSpec, run_sweep
 from repro.patterns import cg_pattern, wrf_pattern
 from repro.sim import PAPER_CONFIG, FluidSimulator
 from repro.sim.network import xgft_link_space
 from repro.topology import XGFT
+from tests.helpers import count_routing
 
 #: two trees x three patterns x four schemes x two seeds (36 cells)
 SWEEP = SweepSpec(
@@ -31,14 +32,26 @@ SWEEP = SweepSpec(
     seeds=2,
     metrics=("max_link_load",),
 )
-#: phase cells route their own pairs and build no all-pairs table
-MAX_TABLE_BUILDS = 0
 #: the cells' own pairs, 16 + 12 + 12 per (tree, scheme, seed) group
 #: for shift-1, bit-reversal and transpose on 16 leaves (12 x 40 = 480),
 #: plus the S-mod-k and D-mod-k warm starts Colored routes for its six
 #: cells (160).  Each cell used to cut its rows from an all-pairs table
 #: of 240 pairs, which routed 2,640 pairs in all.
 ROUTED_PAIRS = 640
+
+#: a phase cell, a dynamic cell and an adversarial dynamic cell
+MIXED_SWEEP = SweepSpec(
+    topologies=("XGFT(2;4,4;1,4)",),
+    patterns=("shift-1",),
+    algorithms=("d-mod-k",),
+    metrics=("max_link_load",),
+    faults=("none", "worst-links:count=2"),
+    workloads=("none", "poisson(load=0.5,flows=40)"),
+)
+#: shift-1's 16 pairs per phase cell (the adversarial one realizes its
+#: faults against the same routes), 40 arrivals per dynamic cell, and
+#: 40 more for the adversary's view of the worst-links dynamic cell
+MIXED_ROUTED_PAIRS = 16 + 16 + 40 + 40 + 40
 
 #: one stream that reaches all three refill paths of the incremental
 #: engine: component-local partial refills, full refills, and
@@ -60,30 +73,41 @@ MAX_ENGINE_WORK = {
 }
 
 
-def test_sweep_route_table_builds(monkeypatch):
-    routed = []
-    real = RoutingAlgorithm.build_table
-
-    def counting(self, pairs):
-        table = real(self, pairs)
-        routed.append(len(table))
-        return table
-
-    monkeypatch.setattr(RoutingAlgorithm, "build_table", counting)
+def test_sweep_route_table_builds(routing_calls):
     result = run_sweep(SWEEP)
     assert len(result.runs) == 36
-    assert result.cache_stats["table_builds"] <= MAX_TABLE_BUILDS
-    assert sum(routed) == ROUTED_PAIRS
+    assert routing_calls["all_pairs"] == 0
+    assert sum(routing_calls["pairs"]) == ROUTED_PAIRS
+
+
+def test_mixed_sweep_builds_no_all_pairs_table(routing_calls):
+    result = run_sweep(MIXED_SWEEP)
+    assert len(result.runs) == 4
+    assert routing_calls["all_pairs"] == 0
+    assert sum(routing_calls["pairs"]) <= MIXED_ROUTED_PAIRS
 
 
 @pytest.fixture(scope="module")
-def engine_work() -> dict:
-    dynamic = STREAM.evaluate(engine="fluid-vec-inc").dynamic
+def stream_run() -> tuple:
+    with count_routing() as calls:
+        dynamic = STREAM.evaluate(engine="fluid-vec-inc").dynamic
     # the same stream, fully drained: fewer counts must come from less
     # work, not from less traffic
     assert dynamic.num_arrivals == 800
     assert dynamic.num_completed + dynamic.num_self + dynamic.num_rejected == 800
-    return dynamic.stats.engine
+    return dynamic, calls
+
+
+@pytest.fixture(scope="module")
+def engine_work(stream_run) -> dict:
+    return stream_run[0].stats.engine
+
+
+def test_stream_routes_its_arrivals_once(stream_run):
+    """The driver routes the stream's 800 arrivals in one call; it used
+    to route the scheme's 64 x 63 = 4,032 all-pairs rows."""
+    _, calls = stream_run
+    assert calls == {"pairs": [800], "all_pairs": 0}
 
 
 @pytest.mark.parametrize("counter", sorted(MAX_ENGINE_WORK))
