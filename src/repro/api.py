@@ -328,6 +328,13 @@ class Scenario:
         return parse_fault_spec(str(self.faults))
 
     # -- cached evaluation intermediates --------------------------------
+    def _arrivals(self):
+        """A dynamic scenario's arrival stream, generated once with the scenario seed."""
+        stream = self.__dict__.get("_stream")
+        if stream is None:
+            stream = self.__dict__["_stream"] = self.dynamic_workload.generate(seed=self.seed)
+        return stream
+
     def _pristine_tables(self, phases: Phases | None = None) -> list[RouteTable]:
         """The pristine routes of this scenario's traffic, routed once.
 
@@ -341,8 +348,7 @@ class Scenario:
         if self._pristine is None:
             algorithm = self.routing
             if self.is_dynamic:
-                stream = self.dynamic_workload.generate(seed=self.seed)
-                self._pristine = [route_stream(algorithm, stream)]
+                self._pristine = [route_stream(algorithm, self._arrivals())]
             else:
                 if phases is None:
                     phases = phase_pairs(self.traffic)
@@ -356,8 +362,7 @@ class Scenario:
         scenario returns the routes of its stream's network arrivals
         (``src != dst``), in stream order; a pattern-aware scheme has no
         static routes under churn, and raises.  Routed once: repeated
-        calls, :meth:`degraded` and a phase scenario's :meth:`evaluate`
-        reuse the routes.
+        calls, :meth:`degraded` and :meth:`evaluate` reuse the routes.
         """
         if self.is_dynamic and not is_oblivious(self.routing):
             raise ValueError(
@@ -509,8 +514,8 @@ def evaluate_scenario(
     """Evaluate one scenario and return its :class:`ScenarioResult`.
 
     The sweep engine calls this per grid cell; :meth:`Scenario.evaluate`
-    calls it with the scenario's own ``crossbar_memo``.  A phase
-    scenario is routed once: :meth:`Scenario.route_table`,
+    calls it with the scenario's own ``crossbar_memo``.  A scenario is
+    routed once: :meth:`Scenario.route_table`,
     :meth:`Scenario.degraded` and this share its cached routes.  The crossbar
     reference of a spec-named pattern is memoized process-wide
     (:mod:`repro.metrics`); ``crossbar_memo`` holds those of live
@@ -610,10 +615,10 @@ def _evaluate_dynamic(
 ) -> ScenarioResult:
     """The dynamic (open-loop) evaluation path behind the facade.
 
-    The driver routes the arrivals of the stream it runs
-    (:class:`~repro.workloads.DynamicDriver`); a ``worst-links`` spec is
-    realized against those same pristine routes
-    (:meth:`Scenario.degraded`).  The arrival stream is seeded by the
+    An oblivious scheme's stream is routed once, by the scenario
+    (:meth:`Scenario.route_table`): a ``worst-links`` spec is realized
+    against those routes, and the :class:`~repro.workloads.DynamicDriver`
+    repairs and runs the same ones.  The stream is seeded by the
     scenario seed: two engines (or two algorithms sharing a seed) face
     the identical stream.
     """
@@ -642,9 +647,12 @@ def _evaluate_dynamic(
         repair_seed=scenario.seed,
         sample_seed=scenario.seed,
     )
-    stream = workload.generate(seed=scenario.seed)
     result = driver.run(
-        stream, workload=workload.spec, seed=scenario.seed, faults=scenario.faults_spec
+        scenario._arrivals(),
+        workload=workload.spec,
+        seed=scenario.seed,
+        faults=scenario.faults_spec,
+        routes=scenario.route_table() if is_oblivious(algorithm) else None,
     )
     fault_info: dict[str, int] = {}
     if degraded is not None:

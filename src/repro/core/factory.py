@@ -84,20 +84,14 @@ SINGLE_SEED_ALGORITHMS = DETERMINISTIC_ALGORITHMS + (
 def is_oblivious(algorithm: RoutingAlgorithm) -> bool:
     """True iff the algorithm never looks at the pattern it routes.
 
-    Detected structurally: an algorithm is oblivious exactly when it
-    keeps the no-op :meth:`~RoutingAlgorithm.prepare` hook (neither its
-    class nor the instance itself overrides it — wrappers such as
-    :class:`repro.faults.repair.RepairedRouting` delegate via an
-    instance attribute).  Only an oblivious scheme's routes can be
-    built ahead of the traffic: the dynamic driver routes a whole
-    arrival stream up front, and the route store and ``repro serve``
-    hold its all-pairs table — a pattern-aware scheme's answers change
-    with every pattern.
+    Detected structurally: an algorithm is oblivious exactly when its
+    class keeps the no-op :meth:`~RoutingAlgorithm.prepare` hook.  Only
+    an oblivious scheme's routes can be built ahead of the traffic: the
+    dynamic driver routes a whole arrival stream up front, and the
+    route store and ``repro serve`` hold its all-pairs table — a
+    pattern-aware scheme's answers change with every pattern.
     """
-    return (
-        type(algorithm).prepare is RoutingAlgorithm.prepare
-        and "prepare" not in algorithm.__dict__
-    )
+    return type(algorithm).prepare is RoutingAlgorithm.prepare
 
 
 def register_algorithm(

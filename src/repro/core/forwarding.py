@@ -4,10 +4,12 @@ Destination-deterministic schemes (D-mod-k, r-NCA-d and — trivially —
 any scheme restricted to a fixed pattern) can be realized on real
 hardware as per-switch *linear forwarding tables*: each switch maps a
 destination leaf id to one output port, as OpenSM does for InfiniBand
-fat trees.  This module materializes those tables from any
-:class:`~repro.core.base.RoutingAlgorithm` and verifies consistency
-(source-dependent schemes like S-mod-k cannot be expressed this way and
-are rejected with a diagnostic).
+fat trees.  This module derives those tables from a routed
+:class:`~repro.core.route.RouteTable` — a scheme's own
+:meth:`~repro.core.base.RoutingAlgorithm.build_table`, a stored table
+or a repaired one — and verifies consistency (source-dependent schemes
+like S-mod-k cannot be expressed this way and are rejected with a
+diagnostic).
 
 Port numbering convention for a switch at level ``l``: down-ports
 ``0..m_l-1`` first, then up-ports ``m_l..m_l+w_{l+1}-1`` (matching the
@@ -22,6 +24,7 @@ from typing import Dict, Iterable
 
 from ..topology import XGFT
 from .base import RoutingAlgorithm
+from .route import RouteTable
 
 __all__ = [
     "ForwardingTables",
@@ -85,12 +88,14 @@ def build_forwarding_tables(
     destinations: list[int] | None = None,
     pairs: Iterable[tuple[int, int]] | None = None,
 ) -> ForwardingTables:
-    """Build per-switch LFTs by tracing every (src, dst) route.
+    """Build per-switch LFTs from the algorithm's routes.
 
-    By default every ordered leaf pair is traced; ``destinations``
+    By default every ordered leaf pair is routed; ``destinations``
     restricts the destination set, ``pairs`` (mutually exclusive with
-    ``destinations``) restricts to an explicit pair list — the degraded-
-    topology exporter uses this to skip unreachable pairs.
+    ``destinations``) restricts to an explicit pair list.  The pairs are
+    routed in one :meth:`~repro.core.base.RoutingAlgorithm.build_table`
+    call and the LFTs derived from that table
+    (:func:`forwarding_tables_from_table`).
 
     Raises :class:`InconsistentRouteError` if the algorithm's routes are
     not destination-deterministic (two sources would need different ports
@@ -102,27 +107,19 @@ def build_forwarding_tables(
     if pairs is None:
         if destinations is None:
             destinations = list(topo.leaves())
-        pairs = (
-            (src, dst) for dst in destinations for src in topo.leaves() if src != dst
-        )
-    out = ForwardingTables(topo)
-    for src, dst in pairs:
-        if src == dst:
-            continue
-        route = algorithm.route(src, dst)
-        _record_route(out, algorithm.name, src, dst, route.up_ports)
-    return out
+        pairs = [(src, dst) for dst in destinations for src in topo.leaves() if src != dst]
+    return forwarding_tables_from_table(algorithm.build_table(pairs))
 
 
-def forwarding_tables_from_table(table) -> ForwardingTables:
+def forwarding_tables_from_table(table: RouteTable) -> ForwardingTables:
     """Build per-switch LFTs from an already-routed table, no algorithm needed.
 
-    The route-serving sibling of :func:`build_forwarding_tables`: a
-    :class:`~repro.core.route.RouteTable` (for example one decoded from
-    a stored compact artifact) already holds every up-port sequence, so
-    the LFTs can be re-derived offline, without re-instantiating — or
-    even knowing — the scheme that produced it.  The same
-    destination-determinism check applies: inconsistent tables raise
+    A :class:`~repro.core.route.RouteTable` (for example one decoded
+    from a stored compact artifact) already holds every up-port
+    sequence, so the LFTs can be re-derived offline, without
+    re-instantiating — or even knowing — the scheme that produced it.
+    Rows are recorded in table order.  The same destination-determinism
+    check applies: inconsistent tables raise
     :class:`InconsistentRouteError`.
     """
     out = ForwardingTables(table.topo)
@@ -131,14 +128,11 @@ def forwarding_tables_from_table(table) -> ForwardingTables:
         if src == dst:
             continue
         lvl = int(table.nca_level[f])
-        up_ports = tuple(int(p) for p in table.ports[f, :lvl])
-        _record_route(out, "stored table", src, dst, up_ports)
+        _record_route(out, src, dst, tuple(int(p) for p in table.ports[f, :lvl]))
     return out
 
 
-def _record_route(
-    out: ForwardingTables, scheme: str, src: int, dst: int, up_ports: tuple[int, ...]
-) -> None:
+def _record_route(out: ForwardingTables, src: int, dst: int, up_ports: tuple[int, ...]) -> None:
     """Trace one route into the tables (ascending up-ports, forced descent)."""
     topo = out.topo
     lvl = len(up_ports)
@@ -151,8 +145,8 @@ def _record_route(
         elif prev != port:
             raise InconsistentRouteError(
                 f"switch (level={level}, node={node}) would need both port "
-                f"{prev} and port {port} for destination {dst}; the scheme "
-                f"({scheme}) is not destination-deterministic"
+                f"{prev} and port {port} for destination {dst}; the routes "
+                "are not destination-deterministic"
             )
 
     if lvl == 0:

@@ -3,7 +3,8 @@
 * :mod:`repro.dimemas.trace` — trace records and text (de)serialization;
 * :mod:`repro.dimemas.tracegen` — synthetic WRF / NAS-CG trace builders;
 * :mod:`repro.dimemas.replay` — the replay engine and its one fluid
-  network (an XGFT or the crossbar, on the default fluid engine);
+  network (an XGFT's routes, installed in one batch before the replay,
+  or the crossbar, on the default fluid engine);
 * :mod:`repro.dimemas.busmodel` — the classic Dimemas bus model.
 """
 
@@ -15,6 +16,7 @@ from .replay import (
     TransferNetwork,
     replay_on_crossbar,
     replay_on_xgft,
+    route_trace,
 )
 from .trace import (
     Barrier,
@@ -46,6 +48,7 @@ __all__ = [
     "TransferNetwork",
     "FluidTransferNetwork",
     "BusTransferNetwork",
+    "route_trace",
     "replay_on_xgft",
     "replay_on_crossbar",
     "wrf_trace",

@@ -13,6 +13,10 @@ routes and on which transfers overlap.  This module is that coupling:
   (max-min fluid over an XGFT or the ideal crossbar, on the default
   fluid engine) or the classic Dimemas bus model in
   :mod:`repro.dimemas.busmodel`;
+* an XGFT's routes are installed before any traffic runs, as on the
+  paper's fabric: :func:`route_trace` routes the distinct leaf pairs of
+  the trace in one :meth:`~repro.core.base.RoutingAlgorithm.build_table`
+  call, and the network reads each transfer's links from that table;
 * the replay clock and the network clock advance in lockstep; every
   rank due at the network's current instant steps before the network
   is asked for its next completion, so the engine refills its rates
@@ -31,12 +35,13 @@ import math
 from abc import ABC, abstractmethod
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from ..core.base import RoutingAlgorithm
+from ..core.route import RouteTable
 from ..sim.config import NetworkConfig, PAPER_CONFIG
 from ..sim.engines import DEFAULT_ENGINE, make_fluid_simulator
-from ..sim.network import LinkSpace, crossbar_link_space, xgft_link_space
+from ..sim.network import LinkSpace, crossbar_link_space, flow_incidence, xgft_link_space
 from ..topology import XGFT
 from .trace import (
     Barrier,
@@ -56,6 +61,7 @@ __all__ = [
     "FluidTransferNetwork",
     "ReplayResult",
     "ReplayEngine",
+    "route_trace",
     "replay_on_xgft",
     "replay_on_crossbar",
 ]
@@ -84,28 +90,80 @@ class TransferNetwork(ABC):
         """Advance the clock to ``t`` (never past the next completion);
         return ids of transfers that completed exactly at ``t``."""
 
+    def check_ranks(self, num_ranks: int) -> None:
+        """Raise ``ValueError`` unless every rank of a ``num_ranks``-rank
+        trace has an endpoint here; the replay asks before its first
+        transfer (default: accept)."""
+
+
+def _rank_leaves(
+    num_ranks: int, num_leaves: int, mapping: Sequence[int] | None = None
+) -> list[int]:
+    """The leaf of each rank: ``mapping[rank]``, sequential by default.
+
+    Raises ``ValueError`` naming the first rank that has no leaf or
+    whose leaf lies outside ``[0, num_leaves)``.
+    """
+    leaves = range(num_leaves) if mapping is None else mapping
+    if num_ranks > len(leaves):
+        raise ValueError(
+            f"rank {len(leaves)} has no leaf: {num_ranks} ranks, only {len(leaves)} placed"
+        )
+    for rank, leaf in enumerate(leaves[:num_ranks]):
+        if not 0 <= leaf < num_leaves:
+            raise ValueError(f"rank {rank} is mapped to leaf {leaf}, outside [0, {num_leaves})")
+    return list(leaves[:num_ranks])
+
+
+def route_trace(
+    trace: Trace, algorithm: RoutingAlgorithm, mapping: Sequence[int] | None = None
+) -> RouteTable:
+    """The routes of the trace's distinct leaf pairs, in one batch.
+
+    The pairs of its sends with rank ``r`` on leaf ``mapping[r]``
+    (sequential by default), sorted, self-pairs dropped: for a pattern's
+    trace, the pattern's sorted distinct pairs, which a pattern-aware
+    scheme's ``prepare`` sees.
+    """
+    leaves = _rank_leaves(trace.num_ranks, algorithm.topo.num_leaves, mapping)
+    pairs = {
+        (leaves[rank], leaves[rec.peer if isinstance(rec, SendRecv) else rec.dst])
+        for rank, rec in trace.records()
+        if isinstance(rec, (Send, Isend, SendRecv))
+    }
+    return algorithm.build_table(sorted((s, d) for s, d in pairs if s != d))
+
+
+def _pair_links(routes: RouteTable, space: LinkSpace) -> dict[tuple[int, int], list[int]]:
+    """Each routed leaf pair's links, tree and adapters: one
+    :func:`~repro.sim.network.flow_incidence` expansion of the table."""
+    rows: list[list[int]] = [[] for _ in range(len(routes))]
+    for flow, link in zip(*(a.tolist() for a in flow_incidence(routes, space))):
+        rows[flow].append(link)
+    return dict(zip(zip(routes.src.tolist(), routes.dst.tolist()), rows))
+
 
 class FluidTransferNetwork(TransferNetwork):
     """Max-min fluid network for the replay engine, on the default engine.
 
-    A transfer crosses its ends' adapter links in ``space`` plus the
-    tree links ``tree_links(src_leaf, dst_leaf)`` returns; ``None`` is
-    the ideal crossbar (adapters only).  ``mapping[rank]`` places ranks
-    on leaves (sequential default).  A zero-byte transfer completes at
-    the instant it starts.
+    A transfer crosses the links ``routes`` holds for its leaf pair
+    (tree links plus the ends' adapter links in ``space``); ``None`` is
+    the ideal crossbar (adapters only), and so are two ranks on one
+    leaf.  ``mapping[rank]`` places ranks on leaves (sequential
+    default).  A zero-byte transfer completes at the instant it starts.
     """
 
     def __init__(
         self,
         space: LinkSpace,
-        tree_links: Callable[[int, int], Iterable[int]] | None = None,
+        routes: RouteTable | None = None,
         config: NetworkConfig = PAPER_CONFIG,
         mapping: Sequence[int] | None = None,
     ):
         self.space = space
-        self.tree_links = tree_links
         self.sim = make_fluid_simulator(DEFAULT_ENGINE, space.num_links, config.link_bandwidth)
         self.mapping = list(mapping) if mapping is not None else list(range(space.num_leaves))
+        self._links = None if routes is None else _pair_links(routes, space)
         # zero-byte transfers: the engines finish them inside add_flow
         # and never report them from advance_to
         self._instant: list[int] = []
@@ -114,10 +172,15 @@ class FluidTransferNetwork(TransferNetwork):
     def now(self) -> float:
         return self.sim.now
 
+    def check_ranks(self, num_ranks: int) -> None:
+        _rank_leaves(num_ranks, self.space.num_leaves, self.mapping)
+
     def start_transfer(self, transfer_id: int, src: int, dst: int, size: int) -> None:
         s, d = self.mapping[src], self.mapping[dst]
-        links = [] if self.tree_links is None else list(self.tree_links(s, d))
-        links += (self.space.injection(s), self.space.ejection(d))
+        if self._links is None or s == d:
+            links = [self.space.injection(s), self.space.ejection(d)]
+        else:
+            links = self._links[(s, d)]
         self.sim.add_flow(transfer_id, links, float(size))
         if size == 0:
             self._instant.append(transfer_id)
@@ -155,6 +218,7 @@ class ReplayEngine:
     """Replays a trace over a transfer network (deterministic)."""
 
     def __init__(self, trace: Trace, network: TransferNetwork):
+        network.check_ranks(trace.num_ranks)
         self.trace = trace
         self.network = network
         self._ranks = [_RankState() for _ in range(trace.num_ranks)]
@@ -331,10 +395,13 @@ def replay_on_xgft(
     config: NetworkConfig = PAPER_CONFIG,
     mapping: Sequence[int] | None = None,
 ) -> ReplayResult:
-    """Replay a trace on an XGFT with a given routing scheme."""
-    network = FluidTransferNetwork(
-        xgft_link_space(topo), lambda s, d: algorithm.route(s, d).links(topo), config, mapping
-    )
+    """Replay a trace on an XGFT with a given routing scheme.
+
+    The scheme routes the trace's pairs once (:func:`route_trace`)
+    before the replay starts.
+    """
+    routes = route_trace(trace, algorithm, mapping)
+    network = FluidTransferNetwork(xgft_link_space(topo), routes, config, mapping)
     return ReplayEngine(trace, network).run()
 
 

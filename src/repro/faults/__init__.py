@@ -9,9 +9,8 @@ and switches fail?  Four pieces:
 * :mod:`repro.faults.degraded` — :class:`DegradedTopology`, the failure
   mask view of an XGFT with vectorized leaf-to-leaf reachability;
 * :mod:`repro.faults.repair` — local route repair (keep surviving
-  routes, re-draw broken ones through surviving NCAs) both as a batch
-  table operation and as a routing-algorithm wrapper, plus LFT re-export
-  for destination-deterministic schemes;
+  routes, re-draw broken ones through surviving NCAs) over route
+  tables, plus LFT re-export for destination-deterministic schemes;
 * :mod:`repro.faults.metrics` — disconnected-pair fraction, load
   inflation vs the fault-free baseline, inflation CDFs.
 
@@ -40,7 +39,6 @@ from .repair import (
     PAIR_DISCONNECTED,
     PAIR_INTACT,
     PAIR_REPAIRED,
-    RepairedRouting,
     RepairResult,
     UnreachablePairError,
     export_repaired_lfts,
@@ -64,7 +62,6 @@ __all__ = [
     "PAIR_INTACT",
     "PAIR_REPAIRED",
     "PAIR_DISCONNECTED",
-    "RepairedRouting",
     "export_repaired_lfts",
     "ResilienceReport",
     "resilience_report",

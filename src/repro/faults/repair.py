@@ -2,40 +2,26 @@
 
 An oblivious scheme's tables are installed once; after a failure the only
 cheap response is *local repair*: keep every surviving route untouched
-and re-route just the broken flows through surviving NCAs.  This module
-implements that, in two forms:
+and re-route just the broken flows through surviving NCAs.
 
-* :func:`repair_table` — vectorized batch repair of a
-  :class:`~repro.core.base.RouteTable`: broken flows get a fresh up-path
-  drawn (seeded, uniformly) among the surviving W-prefixes shared by the
-  pair; pairs with no surviving NCA are rejected with a diagnostic.
-* :class:`RepairedRouting` — the same policy as a
-  :class:`~repro.core.base.RoutingAlgorithm` wrapper, so the replay
-  engine and the LFT exporter can route through a degraded fabric
-  transparently.
+:func:`repair_pairs` is the one repair draw (``rerandomize``): a broken
+route gets a fresh up-path drawn, seeded and uniform, among the
+surviving W-prefixes its pair shares — complete, and oblivious (the
+draw depends on the pair and the seed alone).  :func:`repair_table`
+runs it over a :class:`~repro.core.base.RouteTable` and drops the pairs
+with no surviving NCA.  Every engine, the dynamic driver, the route
+store and ``repro serve`` repair through these two.
 
-Repair policies:
-
-``rerandomize`` (default)
-    Uniform seeded choice among *all* surviving shared prefixes.
-    Complete (repairs every connected pair) and oblivious, but the
-    choice depends on the pair, so a destination-deterministic base
-    scheme generally loses LFT-expressibility for the repaired flows.
-
-``greedy-dst``
-    Climb towards the destination, at each switch replacing a dead
-    up-port by the cyclically next surviving one.  The port choice is a
-    function of ``(switch, destination)`` only, so a
-    destination-deterministic base scheme *stays* destination-
-    deterministic and its LFTs can be re-exported via
-    :func:`repro.core.forwarding.build_forwarding_tables`
-    (:func:`export_repaired_lfts`).  The price of per-switch determinism
-    is completeness: a greedy climb can dead-end in a slimmed tree even
-    when another NCA survives; such pairs are rejected.
-
-This is the compact-routing trade-off of Räcke & Schmid in miniature:
-full repairability needs per-pair state, per-switch tables constrain
-what can be repaired.
+The draw depends on the source, so a destination-deterministic scheme
+loses LFT-expressibility for the repaired flows.
+:func:`export_repaired_lfts` instead repairs a broken row by a greedy
+climb that replaces each dead up-port by the cyclically next surviving
+one: a function of ``(switch, destination)`` only, so D-mod-k and
+r-NCA-d keep per-switch tables.  The price is completeness: the climb
+can dead-end in a slimmed tree even when another NCA survives.  This is
+the compact-routing trade-off of Räcke & Schmid in miniature: full
+repairability needs per-pair state, per-switch tables constrain what
+can be repaired.
 """
 
 from __future__ import annotations
@@ -53,14 +39,11 @@ __all__ = [
     "RepairResult",
     "repair_table",
     "repair_pairs",
-    "RepairedRouting",
     "export_repaired_lfts",
     "PAIR_INTACT",
     "PAIR_REPAIRED",
     "PAIR_DISCONNECTED",
 ]
-
-REPAIR_POLICIES = ("rerandomize", "greedy-dst")
 
 #: per-pair outcome codes of :func:`repair_pairs`
 PAIR_INTACT = 0
@@ -69,7 +52,7 @@ PAIR_DISCONNECTED = 2
 
 
 class UnreachablePairError(ValueError):
-    """No surviving route exists between a pair (under the active policy)."""
+    """No surviving route exists between a pair (for the repair asked for)."""
 
     def __init__(self, src: int, dst: int, reason: str):
         super().__init__(f"no surviving route {src} -> {dst}: {reason}")
@@ -222,114 +205,36 @@ def repair_pairs(
     return out, status
 
 
-class RepairedRouting(RoutingAlgorithm):
-    """A routing algorithm wrapper that repairs routes on the fly.
+def _greedy_climb(
+    degraded: DegradedTopology, src: int, dst: int, base_ports: list[int]
+) -> list[int]:
+    """Destination-deterministic repair of one route: a cyclic next-alive-port climb.
 
-    Routes of ``base`` that survive the degradation are returned
-    unchanged; broken ones are repaired per the chosen policy (module
-    docstring).  Disconnected pairs raise :class:`UnreachablePairError`.
-    ``base`` accepts a live algorithm or a registry spec string
-    (``"d-mod-k"``, ``"r-nca-d(map_kind=mod)"``), instantiated on the
-    degraded fabric's underlying topology with ``seed``.
-
-    The wrapper stays oblivious iff ``base`` is: the pattern hook is
-    delegated only when ``base`` overrides it (as an instance attribute,
-    which :func:`repro.core.factory.is_oblivious` inspects), so the
-    sweep engine's structural obliviousness check and the replay engine
-    both work through it.
+    At the level-``i`` switch the port is the first of ``r_i, r_i+1,
+    ...`` (cyclic) whose cable and parent are alive — a function of
+    (switch, destination) when the base scheme's ``r_i`` is.  The forced
+    descent to ``dst`` must survive too; the climb never backtracks
+    (that would break per-switch determinism) and raises
+    :class:`UnreachablePairError` instead.
     """
-
-    def __init__(
-        self,
-        base: RoutingAlgorithm | str,
-        degraded: DegradedTopology,
-        seed: int = 0,
-        policy: str = "rerandomize",
-    ):
-        if isinstance(base, str):
-            from ..core.factory import make_algorithm
-
-            base = make_algorithm(base, degraded.topo, seed=seed)
-        if degraded.topo != base.topo:
-            raise ValueError("degraded topology does not match the base algorithm")
-        if policy not in REPAIR_POLICIES:
-            raise ValueError(
-                f"unknown repair policy {policy!r}; known: {', '.join(REPAIR_POLICIES)}"
+    topo = degraded.topo
+    chosen: list[int] = []
+    for i, want in enumerate(base_ports):
+        alive_ports = degraded.alive_up_ports(i, topo.subtree_node(src, tuple(chosen), i))
+        if not alive_ports:
+            reason = f"greedy-dst dead end: no live up-port at level {i}"
+            raise UnreachablePairError(src, dst, reason)
+        chosen.append(min(alive_ports, key=lambda p, want=want, w=topo.w[i]: (p - want) % w))
+    for i, port in enumerate(chosen):
+        down_node = topo.subtree_node(dst, tuple(chosen), i)
+        if not degraded.cable_alive[topo.up_link_index(i, down_node, port)]:
+            raise UnreachablePairError(
+                src,
+                dst,
+                f"greedy-dst dead end: descent blocked at level {i} "
+                "(another NCA may survive; repair_table's draw reaches it)",
             )
-        super().__init__(base.topo)
-        self.base = base
-        self.degraded = degraded
-        self.seed = int(seed)
-        self.policy = policy
-        self.name = f"{base.name}+repair"
-        if type(base).prepare is not RoutingAlgorithm.prepare:
-            # delegate the pattern hook for pattern-aware bases; kept an
-            # instance attribute so an oblivious base leaves the class
-            # prepare untouched (structural obliviousness check)
-            self.prepare = base.prepare
-
-    def up_ports(self, src: int, dst: int) -> tuple[int, ...]:
-        base_ports = self.base.up_ports(src, dst)
-        if self._route_alive(src, dst, base_ports):
-            return base_ports
-        if self.policy == "greedy-dst":
-            return self._greedy_dst_ports(src, dst, base_ports)
-        level = len(base_ports)
-        alive = self.degraded.alive_prefixes(level)
-        choice = _draw_prefix(alive[src] & alive[dst], self.seed, src, dst)
-        if choice is None:
-            raise UnreachablePairError(src, dst, f"no surviving NCA at level {level}")
-        return _decode_prefix(self.topo, choice, level)
-
-    def _route_alive(self, src: int, dst: int, up_ports: tuple[int, ...]) -> bool:
-        topo, alive = self.topo, self.degraded.cable_alive
-        for i, port in enumerate(up_ports):
-            up_node = topo.subtree_node(src, up_ports, i)
-            down_node = topo.subtree_node(dst, up_ports, i)
-            if not (
-                alive[topo.up_link_index(i, up_node, port)]
-                and alive[topo.up_link_index(i, down_node, port)]
-            ):
-                return False
-        return True
-
-    def _greedy_dst_ports(
-        self, src: int, dst: int, base_ports: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Destination-deterministic repair: cyclic next-alive-port climb.
-
-        At the level-``i`` switch the chosen port is the first port of
-        the cyclic sequence ``r_i, r_i+1, ...`` whose cable is alive *at
-        that switch* — a function of (switch, destination) whenever
-        ``base`` is destination-deterministic, since ``r_i`` then is.
-        The forced descent from the reached ancestor to ``dst`` is then
-        checked; any dead element rejects the pair (greedy repair does
-        not backtrack — doing so would break per-switch determinism).
-        """
-        topo, degraded = self.topo, self.degraded
-        level = len(base_ports)
-        chosen: list[int] = []
-        for i in range(level):
-            node = topo.subtree_node(src, tuple(chosen), i)
-            alive_ports = degraded.alive_up_ports(i, node)
-            if not alive_ports:
-                raise UnreachablePairError(
-                    src, dst, f"greedy-dst dead end: no live up-port at level {i}"
-                )
-            want = base_ports[i]
-            port = min(alive_ports, key=lambda p, want=want, w=topo.w[i]: (p - want) % w)
-            chosen.append(port)
-        # the descent to dst is forced; verify it survives
-        for i in range(level):
-            down_node = topo.subtree_node(dst, tuple(chosen), i)
-            if not degraded.cable_alive[topo.up_link_index(i, down_node, chosen[i])]:
-                raise UnreachablePairError(
-                    src,
-                    dst,
-                    f"greedy-dst dead end: descent blocked at level {i} "
-                    "(another NCA may survive; use policy='rerandomize')",
-                )
-        return tuple(chosen)
+    return chosen
 
 
 def export_repaired_lfts(
@@ -339,33 +244,37 @@ def export_repaired_lfts(
 ):
     """Re-export per-switch LFTs for a repaired destination-deterministic scheme.
 
-    ``base`` accepts a live algorithm or a registry spec string (see
-    :class:`RepairedRouting`).
-    Repairs ``base`` with the ``greedy-dst`` policy and materializes the
-    surviving routes as linear forwarding tables via
-    :func:`repro.core.forwarding.build_forwarding_tables`.  Pairs the
-    greedy policy cannot repair are skipped and returned as diagnostics.
+    ``base`` is a live algorithm or a registry spec string
+    (``"r-nca-d(map_kind=mod)"``), instantiated on the degraded fabric's
+    topology with ``seed``.  It routes every ordered leaf pair in one
+    :meth:`~repro.core.base.RoutingAlgorithm.build_table` call; only its
+    broken rows take the greedy climb (module docstring), and the
+    surviving rows become LFTs through
+    :func:`repro.core.forwarding.forwarding_tables_from_table`.
 
-    Returns ``(tables, skipped)`` where ``skipped`` is a tuple of
-    ``(src, dst, reason)``.  Raises
+    Returns ``(tables, skipped)``, ``skipped`` holding a destination-major
+    ``(src, dst, reason)`` per pair the climb cannot repair.  Raises
     :class:`~repro.core.forwarding.InconsistentRouteError` if ``base``
-    is not destination-deterministic (e.g. S-mod-k) — exactly as the
-    pristine exporter would.
+    is not destination-deterministic (e.g. S-mod-k), as the pristine
+    exporter would.
     """
-    from ..core.forwarding import build_forwarding_tables
+    from ..core.factory import make_algorithm
+    from ..core.forwarding import forwarding_tables_from_table
 
-    repaired = RepairedRouting(base, degraded, seed=seed, policy="greedy-dst")
-    pairs: list[tuple[int, int]] = []
+    if isinstance(base, str):
+        base = make_algorithm(base, degraded.topo, seed=seed)
+    if degraded.topo != base.topo:
+        raise ValueError("degraded topology does not match the base algorithm")
+    leaves = range(base.topo.num_leaves)
+    table = base.build_table([(src, dst) for dst in leaves for src in leaves if src != dst])
+    keep = np.ones(len(table), dtype=bool)
     skipped: list[tuple[int, int, str]] = []
-    for dst in repaired.topo.leaves():
-        for src in repaired.topo.leaves():
-            if src == dst:
-                continue
-            try:
-                repaired.up_ports(src, dst)
-            except UnreachablePairError as exc:
-                skipped.append((src, dst, exc.reason))
-                continue
-            pairs.append((src, dst))
-    tables = build_forwarding_tables(repaired, pairs=pairs)
-    return tables, tuple(skipped)
+    for f in np.flatnonzero(degraded.broken_flow_mask(table)).tolist():
+        src, dst, level = int(table.src[f]), int(table.dst[f]), int(table.nca_level[f])
+        try:
+            row = table.ports[f, :level]  # a view: this call's own table, repaired in place
+            row[:] = _greedy_climb(degraded, src, dst, row.tolist())
+        except UnreachablePairError as exc:
+            skipped.append((src, dst, exc.reason))
+            keep[f] = False
+    return forwarding_tables_from_table(table.take(np.flatnonzero(keep))), tuple(skipped)

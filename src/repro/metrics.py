@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 from .contention import link_load_summary, max_network_contention, routes_per_nca
 from .core.base import RouteTable
-from .faults import inflation_ratio
+from .faults import inflation_ratio, repair_table
 from .obs import active as _obs_active
 from .obs import metrics as _obs_metrics
 from .patterns.registry import pattern_builder
@@ -223,17 +223,21 @@ def load_aggregate(tables: list[RouteTable]) -> tuple[int, float, dict[int, int]
 
 
 def _simulate(ctx: EvalContext) -> float:
-    from .sim.network import simulate_phase_fluid
+    """The pattern's time: the phase tables' makespans on a fluid engine;
+    on ``replay``, its trace over routes installed before it starts, in
+    one batch (:func:`repro.dimemas.route_trace`) and repaired as the
+    phase tables were."""
+    from .sim.network import simulate_phase_fluid, xgft_link_space
 
     if is_fluid_engine(ctx.engine):
         return sum(
             simulate_phase_fluid(table, sizes, ctx.config, degraded=ctx.degraded, engine=ctx.engine)
             for table, (_, sizes) in zip(ctx.tables, ctx.phases)
         )
-    from .dimemas import pattern_trace, replay_on_xgft
-    from .faults import RepairedRouting
+    from .dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace, route_trace
 
-    algorithm = ctx.algorithm
+    trace = pattern_trace(ctx.pattern)
+    routes = route_trace(trace, ctx.algorithm)
     if ctx.degraded is not None:
         # replay cannot drop flows: an MPI trace with a disconnected pair
         # would simply deadlock, so reject early with a diagnostic
@@ -244,9 +248,9 @@ def _simulate(ctx: EvalContext) -> float:
                 f"{ctx.faults_label!r}; the replay engine cannot drop flows — use "
                 "the fluid engine for lossy fault scenarios"
             )
-        algorithm = RepairedRouting(algorithm, ctx.degraded, seed=ctx.seed)
-    algorithm.prepare(sorted({(s, d) for s, d in ctx.pattern.pairs() if s != d}))
-    return replay_on_xgft(pattern_trace(ctx.pattern), ctx.topo, algorithm, ctx.config).total_time
+        routes = repair_table(routes, ctx.degraded, seed=ctx.seed).table
+    network = FluidTransferNetwork(xgft_link_space(routes.topo), routes, ctx.config)
+    return ReplayEngine(trace, network).run().total_time
 
 
 def crossbar_reference(

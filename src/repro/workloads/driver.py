@@ -8,12 +8,12 @@ arrival instant, ``advance_to_next_completion`` when a completion comes
 first, batch ``add_flows`` for every arrival batch, and
 ``link_rates`` for the utilization samples.  An oblivious scheme's
 route is a function of the pair alone, so its routes are installed
-*before* the traffic exists: :meth:`DynamicDriver.run` routes the
-stream's network arrivals in one
-:meth:`~repro.core.base.RoutingAlgorithm.build_table` call
-(:func:`route_stream`) and each arrival batch takes its rows — the
-operational meaning of obliviousness under churn (Räcke & Schmid,
-*Compact Oblivious Routing*).  Pattern-aware schemes still run (each
+*before* the traffic exists: the stream's network arrivals are routed
+in one :meth:`~repro.core.base.RoutingAlgorithm.build_table` call
+(:func:`route_stream`, by :meth:`DynamicDriver.run` or its caller) and
+each arrival batch takes its rows — the operational meaning of
+obliviousness under churn (Räcke & Schmid, *Compact Oblivious
+Routing*).  Pattern-aware schemes still run (each
 arrival batch is routed as it appears), but what they "see" is only the
 batch — open-loop traffic is precisely the regime where their pattern
 knowledge evaporates.
@@ -75,11 +75,12 @@ class DriverStats:
 
     ``events`` counts loop iterations; every event is either a
     completion harvest or an arrival batch.  The ``*_s`` timers
-    partition the run's wall time by phase.  ``route_s`` times all
-    routing: for an oblivious scheme the one routing (and repair) of
-    the whole stream before the loop plus each batch's row take inside
-    the arrival phase, for a pattern-aware scheme the per-batch routing
-    inside the arrival phase — so it is not a subset of ``arrivals_s``.
+    partition the run's wall time by phase.  ``route_s`` times the
+    driver's routing: for an oblivious scheme the one repair of the
+    stream's routes before the loop (and their routing, unless ``run``
+    was handed them) plus each batch's row take inside the arrival
+    phase, for a pattern-aware scheme the per-batch routing inside the
+    arrival phase — so it is not a subset of ``arrivals_s``.
     ``refill_s`` times the ``next_completion_time()`` call that opens
     every event, where both vectorized engines refill; a refill that a
     kept utilization snapshot forces first counts as snapshot time.
@@ -310,11 +311,19 @@ class DynamicDriver:
         result = repair_table(table, self.degraded, seed=self.repair_seed)
         return result.table, ~result.disconnected
 
-    def _route_whole_stream(self, stream: ArrivalStream) -> None:
-        """Route (and repair) every network arrival of the stream at once."""
-        self._routes, kept = self._repair(route_stream(self.algorithm, stream))
-        self._row_of = np.full(len(stream), -1, dtype=np.int64)
+    def _route_whole_stream(self, stream: ArrivalStream, routes: RouteTable | None) -> None:
+        """Repair the pristine routes of every network arrival at once
+        (routing them first unless handed in) and index their rows."""
         network = np.flatnonzero(stream.src != stream.dst)
+        if routes is None:
+            routes = route_stream(self.algorithm, stream)
+        elif not (
+            np.array_equal(routes.src, stream.src[network])
+            and np.array_equal(routes.dst, stream.dst[network])
+        ):
+            raise ValueError("the routes do not match the stream's network arrivals")
+        self._routes, kept = self._repair(routes)
+        self._row_of = np.full(len(stream), -1, dtype=np.int64)
         self._row_of[network[kept]] = np.arange(len(self._routes), dtype=np.int64)
 
     def _route_batch(
@@ -344,15 +353,20 @@ class DynamicDriver:
         workload: str = "",
         seed: int = 0,
         faults: str | None = None,
+        routes: RouteTable | None = None,
     ) -> DynamicResult:
         """Drain one arrival stream and return its :class:`DynamicResult`.
 
         ``workload``/``seed``/``faults`` are identity labels carried
         into the result record (``faults`` defaults to ``"none"`` or
-        ``"degraded"`` from the driver's fault state).
+        ``"degraded"`` from the driver's fault state).  ``routes`` are
+        the stream's pristine :func:`route_stream` routes when the caller
+        has them (an oblivious scheme's are routed here otherwise).
         """
         t0 = time.perf_counter()
         stream.validate_leaves(self.topo.num_leaves)
+        if routes is not None and not self._oblivious:
+            raise ValueError("a pattern-aware scheme routes each arrival batch; it takes no routes")
         sim = make_fluid_simulator(
             self.engine, self.space.num_links, self.config.link_bandwidth
         )
@@ -406,7 +420,7 @@ class DynamicDriver:
         self._route_s = 0.0
         self._routes = None
         if self._oblivious:
-            self._timed_route(self._route_whole_stream, n, stream)
+            self._timed_route(self._route_whole_stream, n, stream, routes)
         for _ in range(max_events):
             t_arr = times[i] if i < n else None
             t_phase = perf()

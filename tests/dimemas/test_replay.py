@@ -23,6 +23,7 @@ from repro.dimemas import (
     WaitAll,
     replay_on_crossbar,
     replay_on_xgft,
+    route_trace,
 )
 from repro.sim import PAPER_CONFIG, FluidSimulator
 from repro.sim.network import crossbar_link_space, xgft_link_space
@@ -179,6 +180,71 @@ class TestOnXGFT:
         assert same_switch.total_time <= cross.total_time + 1e-12
 
 
+class TestRankMapping:
+    """A rank is placed on a leaf of the machine before the first transfer
+    starts, or the replay refuses with the rank's name."""
+
+    TRACE = Trace([[Send(1, 1000)], [Recv(0)], [Compute(1.0)]])
+
+    @pytest.mark.parametrize(
+        ("num_leaves", "mapping", "message"),
+        [
+            (16, [0, -1, 2], "rank 1 is mapped to leaf -1, outside"),
+            (16, [0, 16, 2], "rank 1 is mapped to leaf 16, outside"),
+            (16, [0, 1], "rank 2 has no leaf: 3 ranks, only 2 placed"),
+            (2, None, "rank 2 has no leaf: 3 ranks, only 2 placed"),
+        ],
+        ids=["leaf-below", "leaf-above", "short-mapping", "more-ranks-than-leaves"],
+    )
+    def test_rejected_naming_the_rank(self, num_leaves, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            replay_on_crossbar(self.TRACE, num_leaves, mapping=mapping)
+
+    def test_checked_before_the_first_transfer(self):
+        net = FluidTransferNetwork(crossbar_link_space(16), mapping=[0, -1, 2])
+        with pytest.raises(ValueError, match="rank 1"):
+            ReplayEngine(self.TRACE, net)
+        assert net.sim.active_flows == 0
+
+    def test_xgft_checked_before_routing(self, routing_calls):
+        topo = XGFT((4, 4), (1, 2))
+        with pytest.raises(ValueError, match="rank 1 is mapped to leaf -1"):
+            replay_on_xgft(self.TRACE, topo, DModK(topo), mapping=[0, -1, 2])
+        assert routing_calls["pairs"] == []
+
+
+class TestInstalledRoutes:
+    """A transfer crosses exactly its leaf pair's route plus its adapters."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["one-per-leaf", "two-per-leaf"])
+    def test_each_transfer_crosses_its_route(self, shared, routing_calls):
+        topo = XGFT((8, 8), (1, 4))
+        alg = make_algorithm("random", topo, seed=3)
+        trace = random_trace(5, 16, barrier=True, compute=False)
+        leaves = np.random.default_rng(5).choice(topo.num_leaves, 16, replace=False)
+        mapping = (leaves // 2 if shared else leaves).tolist()
+        space = xgft_link_space(topo)
+        net = FluidTransferNetwork(space, route_trace(trace, alg, mapping), mapping=mapping)
+        crossed = []
+        add_flow = net.sim.add_flow
+
+        def recording(flow_id, links, size):
+            crossed.append(sorted(links))
+            add_flow(flow_id, links, size)
+
+        net.sim.add_flow = recording
+        res = ReplayEngine(trace, net).run()
+        expected = []
+        for rank, rec in trace.records():
+            if isinstance(rec, (Isend, SendRecv)):
+                s, d = mapping[rank], mapping[rec.peer if isinstance(rec, SendRecv) else rec.dst]
+                tree = [] if s == d else list(alg.route(s, d).links(topo))
+                expected.append(sorted(tree + [space.injection(s), space.ejection(d)]))
+        assert res.num_transfers == len(crossed)
+        assert sorted(crossed) == sorted(expected)
+        assert len(routing_calls["pairs"]) == 1
+
+
 class TestIterationBudget:
     def test_budget_guard(self):
         tr = Trace([[Compute(0.1) for _ in range(100)]])
@@ -247,7 +313,7 @@ class TestDefaultEngineMatchesScalarOracle:
             if on_tree:
                 net = FluidTransferNetwork(
                     xgft_link_space(self.TOPO),
-                    lambda s, d: alg.route(s, d).links(self.TOPO),
+                    route_trace(trace, alg, mapping),
                     mapping=mapping,
                 )
             else:

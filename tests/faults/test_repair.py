@@ -1,23 +1,22 @@
-"""Route repair: batch tables, the algorithm wrapper, LFT re-export."""
+"""Route repair: batch tables, the replay's repaired routes, LFT re-export."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import Scenario
 from repro.core import make_algorithm
-from repro.core.factory import is_oblivious
 from repro.core.forwarding import InconsistentRouteError
 from repro.faults import (
     DegradedTopology,
     FaultSet,
-    RepairedRouting,
-    UnreachablePairError,
     export_repaired_lfts,
     random_link_faults,
     random_switch_faults,
     repair_table,
 )
+from repro.faults import repair as repair_module
 from repro.topology import XGFT
 
 
@@ -90,41 +89,24 @@ class TestRepairTable:
             repair_table(other, deg)
 
 
-class TestRepairedRouting:
-    def test_matches_batch_repair(self, topo, deg):
-        alg = make_algorithm("d-mod-k", topo)
-        table = alg.all_pairs_table()
-        batch = repair_table(table, deg, seed=3)
-        wrapper = RepairedRouting(alg, deg, seed=3)
-        rows = batch.surviving_rows()
-        pairs = list(zip(table.src[rows].tolist(), table.dst[rows].tolist()))
-        rebuilt = wrapper.build_table(pairs)
-        assert np.array_equal(rebuilt.ports, batch.table.ports)
+class TestReplayRepair:
+    """The replay repairs the routes it installs with :func:`repair_table`,
+    the draw that repairs the phase tables, so both models time the same
+    repaired routes."""
 
-    def test_unreachable_raises(self, topo):
-        deg = DegradedTopology(
-            topo, FaultSet(links=frozenset({topo.up_link_index(0, 0, 0)}))
+    @pytest.mark.parametrize("algorithm", ["d-mod-k", "random", "colored", "r-nca-d"])
+    @pytest.mark.parametrize(
+        "faults", ["links:count=3,seed=1", "switches:count=1,seed=2"]
+    )
+    def test_replay_time_equals_the_phase_model(self, algorithm, faults):
+        scenario = Scenario(
+            "XGFT(2;8,8;2,4)", "bit-reversal", algorithm, faults=faults, seed=1
         )
-        wrapper = RepairedRouting(make_algorithm("d-mod-k", topo), deg)
-        with pytest.raises(UnreachablePairError, match="no surviving"):
-            wrapper.up_ports(0, 9)
-
-    def test_obliviousness_preserved(self, topo, deg):
-        assert is_oblivious(RepairedRouting(make_algorithm("d-mod-k", topo), deg))
-        assert not is_oblivious(RepairedRouting(make_algorithm("colored", topo), deg))
-
-    def test_name_and_policy_validation(self, topo, deg):
-        wrapper = RepairedRouting(make_algorithm("r-nca-d", topo), deg)
-        assert wrapper.name == "r-nca-d+repair"
-        with pytest.raises(ValueError, match="policy"):
-            RepairedRouting(make_algorithm("d-mod-k", topo), deg, policy="telepathy")
-
-    def test_pattern_aware_base_still_prepares(self, topo, deg):
-        wrapper = RepairedRouting(make_algorithm("colored", topo), deg)
-        pairs = [(0, 5), (1, 6), (4, 9)]
-        table = wrapper.build_table(pairs)  # prepare() must reach Colored
-        assert len(table) == 3
-        assert not deg.broken_flow_mask(table).any()
+        phase = scenario.evaluate(metrics=("sim_time",))
+        replay = scenario.evaluate(metrics=("sim_time",), engine="replay")
+        assert phase.fault_info["repaired_flows"] > 0
+        assert phase.fault_info["disconnected_flows"] == 0
+        assert replay["sim_time"] == pytest.approx(phase["sim_time"], rel=1e-9)
 
 
 class TestGreedyDstPolicy:
@@ -132,12 +114,41 @@ class TestGreedyDstPolicy:
         deg = DegradedTopology(topo, random_switch_faults(topo, count=1, seed=1, level=2))
         tables, skipped = export_repaired_lfts(make_algorithm("d-mod-k", topo), deg)
         assert skipped == ()  # one dead root never disconnects this tree
-        wrapper = RepairedRouting(make_algorithm("d-mod-k", topo), deg, policy="greedy-dst")
-        for src in range(0, topo.num_leaves, 3):
-            for dst in range(0, topo.num_leaves, 5):
-                if src != dst:
-                    walked = tables.walk(src, dst)
-                    assert walked == wrapper.route(src, dst).node_path(topo)
+        base = make_algorithm("d-mod-k", topo).all_pairs_table()
+        broken = deg.broken_flow_mask(base)
+        assert broken.any()
+        for f in range(len(base)):
+            src, dst = int(base.src[f]), int(base.dst[f])
+            walked = tables.walk(src, dst)
+            if not broken[f]:
+                # an intact route is kept
+                assert walked == base.route(f).node_path(topo)
+                continue
+            # a broken one climbs to its NCA level, at each switch taking
+            # the cyclically next live up-port after the base port
+            level = int(base.nca_level[f])
+            assert len(walked) == 2 * level + 1
+            for i in range(level):
+                node, parent = walked[i][1], walked[i + 1][1]
+                port = next(p for p in range(topo.w[i]) if topo.up_neighbor(i, node, p) == parent)
+                want = int(base.ports[f, i])
+                alive = deg.alive_up_ports(i, node)
+                assert port == min(alive, key=lambda p, w=topo.w[i]: (p - want) % w)
+
+    def test_climbs_only_the_broken_rows(self, topo, deg, monkeypatch):
+        climbs = []
+        climb = repair_module._greedy_climb
+
+        def counting(degraded, src, dst, base_ports):
+            climbs.append((src, dst))
+            return climb(degraded, src, dst, base_ports)
+
+        monkeypatch.setattr(repair_module, "_greedy_climb", counting)
+        _, skipped = export_repaired_lfts(make_algorithm("d-mod-k", topo), deg)
+        base = make_algorithm("d-mod-k", topo).all_pairs_table()
+        broken = deg.broken_flow_mask(base)
+        assert len(climbs) == int(broken.sum()) > len(skipped)
+        assert set(climbs) == set(zip(base.src[broken].tolist(), base.dst[broken].tolist()))
 
     def test_source_routed_base_rejected(self):
         # enough surviving roots that S-mod-k keeps its source-dependence
@@ -159,34 +170,18 @@ class TestGreedyDstPolicy:
 
 
 class TestRegistrySpecAcceptance:
-    """The facade rewiring: repair entry points accept algorithm specs."""
+    """The facade rewiring: the LFT exporter accepts algorithm specs."""
 
-    def test_repaired_routing_from_spec_string(self, topo, deg):
-        def outcome(wrapper, src, dst):
-            try:
-                return wrapper.up_ports(src, dst)
-            except UnreachablePairError as exc:
-                return ("unreachable", exc.reason)
+    @pytest.mark.parametrize("spec", ["d-mod-k", "r-nca-d(map_kind=mod)"])
+    def test_export_repaired_lfts_from_spec(self, topo, deg, spec):
+        by_spec, skipped_a = export_repaired_lfts(spec, deg, seed=2)
+        by_obj, skipped_b = export_repaired_lfts(make_algorithm(spec, topo, seed=2), deg)
+        assert by_spec.tables == by_obj.tables
+        assert skipped_a == skipped_b
 
-        from_spec = RepairedRouting("d-mod-k", deg, seed=4)
-        from_instance = RepairedRouting(make_algorithm("d-mod-k", topo), deg, seed=4)
-        assert from_spec.base.name == "d-mod-k"
-        for src in range(0, topo.num_leaves, 3):
-            for dst in range(topo.num_leaves):
-                if src != dst:
-                    assert outcome(from_spec, src, dst) == outcome(from_instance, src, dst)
-
-    def test_parameterized_spec_string(self, topo, deg):
-        wrapper = RepairedRouting("r-nca-d(map_kind=mod)", deg, seed=2)
-        assert wrapper.base.map_kind == "mod"
-        assert is_oblivious(wrapper)
-
-    def test_export_repaired_lfts_from_spec(self, topo):
-        deg = DegradedTopology(topo, random_switch_faults(topo, count=1, seed=1, level=2))
-        by_spec, skipped_a = export_repaired_lfts("d-mod-k", deg)
-        by_obj, skipped_b = export_repaired_lfts(make_algorithm("d-mod-k", topo), deg)
-        assert skipped_a == skipped_b == ()
-        assert by_spec.walk(0, 9) == by_obj.walk(0, 9)
+    def test_topology_mismatch(self, deg):
+        with pytest.raises(ValueError, match="does not match"):
+            export_repaired_lfts(make_algorithm("d-mod-k", XGFT((2, 2), (1, 2))), deg)
 
 
 class TestRepairPairs:

@@ -176,6 +176,20 @@ class TestScenarioIntegration:
         assert result.metrics["max_link_load"] >= 1
         assert result.metrics["max_congestion"] >= result.metrics["congestion_lower_bound"]
 
+    @pytest.mark.parametrize(
+        "topology", ["random-regular(switches=16,degree=4,hosts=4,seed=3)", "XGFT(2;4,4;1,2)"]
+    )
+    @pytest.mark.parametrize("algorithm", ["random-walk", "racke-tree"])
+    def test_replay_on_path_tables_equals_the_phase_model(self, topology, algorithm):
+        """The replay reads each transfer's arcs from the scheme's path
+        table, in the arc space of the graph the scheme routes (an XGFT
+        spec is lowered); at the parent it asked for XGFT port digits."""
+        s = Scenario(topology, "bit-reversal", algorithm)
+        phase = s.evaluate(metrics=("sim_time", "slowdown"))
+        replay = s.evaluate(metrics=("sim_time", "slowdown"), engine="replay")
+        for metric in ("sim_time", "slowdown"):
+            assert replay[metric] == pytest.approx(phase[metric], rel=1e-9)
+
     def test_graph_metrics_skip_on_xgft_port_tables(self):
         s = Scenario("XGFT(2;4,4;1,2)", "shift", "d-mod-k")
         result = s.evaluate(metrics=("max_link_load", "max_congestion"))

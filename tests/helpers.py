@@ -90,13 +90,15 @@ def count_routing() -> Iterator[dict]:
     ``"pairs"`` lists the length of every
     :meth:`RoutingAlgorithm.build_table` call (XGFT port schemes; graph
     schemes override it), ``"all_pairs"`` counts
-    :meth:`RoutingAlgorithm.all_pairs_table` calls (every scheme).
+    :meth:`RoutingAlgorithm.all_pairs_table` calls (every scheme) and
+    ``"route"`` the one-pair :meth:`RoutingAlgorithm.route` calls.
     """
     from repro.core.base import RoutingAlgorithm
 
-    calls: dict = {"pairs": [], "all_pairs": 0}
+    calls: dict = {"pairs": [], "all_pairs": 0, "route": 0}
     build_table = RoutingAlgorithm.build_table
     all_pairs_table = RoutingAlgorithm.all_pairs_table
+    route = RoutingAlgorithm.route
 
     def counting_build(self, pairs):
         table = build_table(self, pairs)
@@ -107,7 +109,12 @@ def count_routing() -> Iterator[dict]:
         calls["all_pairs"] += 1
         return all_pairs_table(self, *args, **kwargs)
 
+    def counting_route(self, src, dst):
+        calls["route"] += 1
+        return route(self, src, dst)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RoutingAlgorithm, "build_table", counting_build)
         patch.setattr(RoutingAlgorithm, "all_pairs_table", counting_all_pairs)
+        patch.setattr(RoutingAlgorithm, "route", counting_route)
         yield calls

@@ -109,7 +109,7 @@ class TestScenarioEvaluation:
         assert len(table) == len([p for p in s.traffic.pairs() if p[0] != p[1]])
         # a phase scenario routes its own pairs, once: no all-pairs table
         s.evaluate(metrics=("max_link_load",))
-        assert routing_calls == {"pairs": [len(table)], "all_pairs": 0}
+        assert routing_calls == {"pairs": [len(table)], "all_pairs": 0, "route": 0}
 
     @pytest.mark.parametrize("first", ["route_table", "degraded"])
     def test_evaluate_reuses_the_scenario_routes(self, routing_calls, first):
@@ -138,7 +138,7 @@ class TestScenarioEvaluation:
         """A traffic-blind spec is realized without routing the pattern."""
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k", faults="links:count=2,seed=1")
         assert s.degraded().num_failed_cables == 2
-        assert routing_calls == {"pairs": [], "all_pairs": 0}
+        assert routing_calls == {"pairs": [], "all_pairs": 0, "route": 0}
 
     def test_dynamic_worst_links_realized_against_its_arrivals(self, routing_calls):
         """A dynamic cell's adversary watches the routes of its own
@@ -162,6 +162,24 @@ class TestScenarioEvaluation:
         assert len(cut) == 2 and set(cut) <= crossed
         assert result.dynamic.num_rejected > 0
         assert result.metrics != pristine.evaluate().metrics
+        # the adversary's routes are the ones the driver ran: one routing
+        # for this cell, one for the pristine one
+        assert routing_calls["pairs"] == [300, 300]
+
+    @pytest.mark.parametrize("faults", ["none", "worst-links:count=2"])
+    def test_dynamic_evaluate_twice_routes_once(self, routing_calls, faults):
+        """A second evaluate() reuses the scenario's stream and routes and
+        gives the first one's result."""
+        s = Scenario(
+            "XGFT(2;4,4;1,4)", "none", "d-mod-k", faults=faults,
+            workload="poisson(load=0.9,flows=60)", seed=3,
+        )
+        first, second = s.evaluate(), s.evaluate()
+        assert second.metrics == first.metrics
+        assert second.fault_info == first.fault_info
+        assert second.dynamic.util == first.dynamic.util
+        assert second.dynamic.stats.engine == first.dynamic.stats.engine
+        assert routing_calls["pairs"] == [60]
 
     def test_metrics_default_and_custom_selection(self):
         s = Scenario("XGFT(2;4,4;1,2)", "shift-1", "d-mod-k")

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.core import make_algorithm
-from repro.dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace
+from repro.dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace, route_trace
 from repro.experiments import SweepSpec, run_sweep
 from repro.patterns import cg_pattern, wrf_pattern
 from repro.sim import PAPER_CONFIG, FluidSimulator
@@ -48,10 +48,10 @@ MIXED_SWEEP = SweepSpec(
     faults=("none", "worst-links:count=2"),
     workloads=("none", "poisson(load=0.5,flows=40)"),
 )
-#: shift-1's 16 pairs per phase cell (the adversarial one realizes its
-#: faults against the same routes), 40 arrivals per dynamic cell, and
-#: 40 more for the adversary's view of the worst-links dynamic cell
-MIXED_ROUTED_PAIRS = 16 + 16 + 40 + 40 + 40
+#: shift-1's 16 pairs per phase cell and 40 arrivals per dynamic cell;
+#: an adversarial cell realizes its faults against the routes it runs.
+#: The worst-links dynamic cell used to route its stream a second time.
+MIXED_ROUTED_PAIRS = 16 + 16 + 40 + 40
 
 #: one stream that reaches all three refill paths of the incremental
 #: engine: component-local partial refills, full refills, and
@@ -84,7 +84,7 @@ def test_mixed_sweep_builds_no_all_pairs_table(routing_calls):
     result = run_sweep(MIXED_SWEEP)
     assert len(result.runs) == 4
     assert routing_calls["all_pairs"] == 0
-    assert sum(routing_calls["pairs"]) <= MIXED_ROUTED_PAIRS
+    assert sum(routing_calls["pairs"]) == MIXED_ROUTED_PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_stream_routes_its_arrivals_once(stream_run):
     """The driver routes the stream's 800 arrivals in one call; it used
     to route the scheme's 64 x 63 = 4,032 all-pairs rows."""
     _, calls = stream_run
-    assert calls == {"pairs": [800], "all_pairs": 0}
+    assert calls == {"pairs": [800], "all_pairs": 0, "route": 0}
 
 
 @pytest.mark.parametrize("counter", sorted(MAX_ENGINE_WORK))
@@ -123,6 +123,28 @@ def test_stream_reaches_every_refill_path(engine_work):
     )
 
 
+#: a paper-size replay cell: XGFT(2;16,16;1,8), the two applications
+#: at their paper sizes
+REPLAY_TOPOLOGY = "XGFT(2;16,16;1,8)"
+REPLAY_PATTERNS = {"wrf-256": wrf_pattern(256), "cg-128": cg_pattern(128)}
+
+
+@pytest.mark.parametrize("app", sorted(REPLAY_PATTERNS))
+def test_replay_routes_its_pairs_in_one_batch(app, routing_calls):
+    """The replay installs its routes before it starts: one build_table
+    call over the trace's distinct pairs beside the phase tables, and no
+    per-transfer route() call (it used to make 480 for WRF-256 and 624
+    for CG-128)."""
+    pattern = REPLAY_PATTERNS[app]
+    scenario = Scenario(REPLAY_TOPOLOGY, pattern, "d-mod-k")
+    scenario.evaluate(metrics=("sim_time",), engine="replay")
+    phases = [len([f for f in ph.flows if f.src != f.dst]) for ph in pattern.phases]
+    distinct = len({p for p in pattern.pairs() if p[0] != p[1]})
+    assert routing_calls == {"pairs": [*phases, distinct], "all_pairs": 0, "route": 0}
+    if app == "wrf-256":
+        assert routing_calls["pairs"] == [480, 480]
+
+
 #: refills of one barrier-phased replay on XGFT(2;16,16;1,8) under
 #: random routing (seed 0): the replay steps every rank due at an
 #: instant before it asks the network for its next completion, so the
@@ -135,9 +157,9 @@ MAX_REPLAY_REFILLS = {"wrf-256": 21, "cg-128": 18}
 def test_replay_refills_once_per_instant(app, oracle):
     topo = XGFT((16, 16), (1, 8))
     alg = make_algorithm("random", topo, seed=0)
-    pattern = wrf_pattern(256) if app == "wrf-256" else cg_pattern(128)
-    net = FluidTransferNetwork(xgft_link_space(topo), lambda s, d: alg.route(s, d).links(topo))
+    trace = pattern_trace(REPLAY_PATTERNS[app])
+    net = FluidTransferNetwork(xgft_link_space(topo), route_trace(trace, alg))
     if oracle:
         net.sim = FluidSimulator(net.space.num_links, PAPER_CONFIG.link_bandwidth)
-    ReplayEngine(pattern_trace(pattern), net).run()
+    ReplayEngine(trace, net).run()
     assert net.sim.telemetry()["recomputes"] <= MAX_REPLAY_REFILLS[app]

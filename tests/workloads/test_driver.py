@@ -17,6 +17,7 @@ from repro.workloads import (
     Reservoir,
     UtilSeries,
     resolve_workload,
+    route_stream,
 )
 
 TOPO = resolve_topology("XGFT(2;4,4;1,2)")
@@ -193,6 +194,24 @@ class TestFaultsCompose:
         b = _run("fluid-vec", stream, degraded=degraded)
         assert a.num_rejected == b.num_rejected
         assert b.fct.mean == pytest.approx(a.fct.mean, rel=1e-9)
+
+    def test_handed_routes_are_repaired_like_its_own(self):
+        """The stream's routes from the caller run exactly as the ones
+        the driver routes itself; routes of another stream, or any for
+        a pattern-aware scheme, are refused."""
+        wl = resolve_workload("poisson(load=0.5,flows=200)", TOPO.num_leaves)
+        stream, other = wl.generate(seed=7), wl.generate(seed=8)
+        alg = make_algorithm("d-mod-k", TOPO)
+        driver = DynamicDriver(TOPO, alg, degraded=self._degraded())
+        own = driver.run(stream)
+        handed = driver.run(stream, routes=route_stream(alg, stream))
+        assert handed.num_rejected == own.num_rejected > 0
+        assert handed.metrics() == own.metrics()
+        with pytest.raises(ValueError, match="do not match"):
+            driver.run(stream, routes=route_stream(alg, other))
+        colored = DynamicDriver(TOPO, make_algorithm("colored", TOPO))
+        with pytest.raises(ValueError, match="pattern-aware"):
+            colored.run(stream, routes=route_stream(alg, stream))
 
 
 class TestOnlineMetrics:
