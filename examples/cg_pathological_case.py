@@ -35,10 +35,10 @@ def main() -> None:
     # -- 1. the pattern ----------------------------------------------------
     print(f"CG.D-128 on {topo} (sequential mapping):")
     for phase in pattern.phases:
-        local = sum(1 for f in phase.flows if f.src // 16 == f.dst // 16)
+        local = int((phase.src // 16 == phase.dst // 16).sum())
         print(
             f"  {phase.name:<22} {len(phase):>3} flows x "
-            f"{phase.flows[0].size} B, {local}/{len(phase)} switch-local"
+            f"{phase.sizes[0]} B, {local}/{len(phase)} switch-local"
         )
 
     # -- 2. Eq. (2) ---------------------------------------------------------
@@ -60,8 +60,7 @@ def main() -> None:
         f"(14 flows forced over 2 uplinks per switch)"
     )
     transpose = pattern.phases[-1]
-    sizes = [f.size for f in transpose.flows]
-    t_phase = simulate_phase_fluid(table, sizes)
+    t_phase = simulate_phase_fluid(table, transpose.sizes)
     t_ref = crossbar_phase_time(transpose, 256)
     print(
         f"simulated phase time: {t_phase * 1e3:.2f} ms vs crossbar "
@@ -69,7 +68,8 @@ def main() -> None:
     )
 
     # -- 4. the fix ---------------------------------------------------------
-    # one compare() per scheme: its scenarios share one crossbar reference
+    # one compare() per scheme; every scenario sends the same traffic, so
+    # all of them divide by one memoized crossbar reference
     print("\nwhole-application slowdown vs Full-Crossbar:")
     for name in ("d-mod-k", "random", "r-nca-d", "colored"):
         seeds = range(5) if name in ("random", "r-nca-d") else [0]

@@ -105,12 +105,8 @@ def format_run_id(
     return base if workload == "none" else f"{base}#{workload}"
 
 
-#: opaque per-run memo of the crossbar references of live patterns
-#: (spec-named patterns use the process-wide memo in repro.metrics)
-CrossbarMemo = dict[object, object]
-
-#: per-phase ``(pairs, sizes)`` lists, as :func:`repro.metrics.phase_pairs` returns
-Phases = list[tuple[list[tuple[int, int]], list[int]]]
+#: per-phase ``(pairs, sizes)`` arrays, as :func:`repro.metrics.phase_pairs` returns
+Phases = list[tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]]
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +193,6 @@ class Scenario:
                 "pattern='none' instead of "
                 f"{self.pattern_spec!r}"
             )
-        self._crossbar_memo: CrossbarMemo = {}
         self._degraded: DegradedTopology | None = None
         self._degraded_done = False
         self._pristine: list[RouteTable] | None = None
@@ -259,13 +254,6 @@ class Scenario:
             self.topology_spec, self.pattern_spec, self.algorithm_spec,
             self.seed, self.faults_spec, self.workload_spec,
         )
-
-    @property
-    def _pattern_key(self) -> str:
-        """Crossbar-memo key: live patterns by identity (names can collide)."""
-        if isinstance(self.pattern, Pattern):
-            return f"{self.pattern.name}#{id(self.pattern):x}"
-        return str(self.pattern)
 
     def with_(self, **changes: object) -> "Scenario":
         """A copy with some axes replaced (``compare`` ergonomics)."""
@@ -415,13 +403,7 @@ class Scenario:
         applies to phase scenarios only (a mixed sweep passes one
         metric list to every cell, so dynamic cells cannot reject it).
         """
-        return evaluate_scenario(
-            self,
-            metrics=metrics,
-            engine=engine,
-            config=config,
-            crossbar_memo=self._crossbar_memo,
-        )
+        return evaluate_scenario(self, metrics=metrics, engine=engine, config=config)
 
 
 # ----------------------------------------------------------------------
@@ -509,21 +491,21 @@ def evaluate_scenario(
     metrics: Sequence[str] | None = None,
     engine: str = DEFAULT_ENGINE,
     config: NetworkConfig = PAPER_CONFIG,
-    crossbar_memo: CrossbarMemo | None = None,
 ) -> ScenarioResult:
     """Evaluate one scenario and return its :class:`ScenarioResult`.
 
-    The sweep engine calls this per grid cell; :meth:`Scenario.evaluate`
-    calls it with the scenario's own ``crossbar_memo``.  A scenario is
-    routed once: :meth:`Scenario.route_table`,
-    :meth:`Scenario.degraded` and this share its cached routes.  The crossbar
-    reference of a spec-named pattern is memoized process-wide
-    (:mod:`repro.metrics`); ``crossbar_memo`` holds those of live
-    patterns.  Metric values are computed by the registered
-    :class:`repro.metrics.Metric` callables over one shared
-    :class:`repro.metrics.EvalContext`.  Dynamic scenarios bypass the
-    metric registry and record :data:`repro.workloads.DYNAMIC_METRICS`
-    regardless of ``metrics`` (see :meth:`Scenario.evaluate`).
+    The sweep engine calls this per grid cell, and
+    :meth:`Scenario.evaluate` and :func:`compare` call it too.  A
+    scenario is routed once: :meth:`Scenario.route_table`,
+    :meth:`Scenario.degraded` and this share its cached routes.  The
+    crossbar reference of the traffic is memoized process-wide, keyed
+    on the traffic's contents (:mod:`repro.metrics`), so equal patterns
+    share it whether named by spec or passed live.  Metric values are
+    computed by the registered :class:`repro.metrics.Metric` callables
+    over one shared :class:`repro.metrics.EvalContext`.  Dynamic
+    scenarios bypass the metric registry and record
+    :data:`repro.workloads.DYNAMIC_METRICS` regardless of ``metrics``
+    (see :meth:`Scenario.evaluate`).
     """
     t0 = time.perf_counter()
     resolve_engine(engine)  # fail fast on unknown engine names
@@ -557,10 +539,7 @@ def evaluate_scenario(
         baseline_agg = load_aggregate(tables)
         tables = [r.table for r in repairs]
         phases = [
-            (
-                [pairs[i] for i in r.surviving_rows()],
-                [sizes[i] for i in r.surviving_rows()],
-            )
+            (pairs[r.surviving_rows()], sizes[r.surviving_rows()])
             for (pairs, sizes), r in zip(phases, repairs)
         ]
         fault_info = {
@@ -586,9 +565,6 @@ def evaluate_scenario(
         baseline_agg=baseline_agg,
         label=scenario.run_id,
         faults_label=scenario.faults_spec,
-        pattern_key=scenario._pattern_key,
-        crossbar_memo=crossbar_memo,
-        pattern_spec=None if isinstance(scenario.pattern, Pattern) else scenario.pattern_spec,
     )
     values: dict[str, object] = {}
     for metric in metric_fns:
@@ -730,16 +706,14 @@ def compare(
 ) -> Comparison:
     """Evaluate scenarios and tabulate the metrics.
 
-    Each scenario routes its own traffic; the crossbar reference of a
-    live pattern is computed once per (pattern, machine size) across
-    the scenarios.
+    Each scenario routes its own traffic; scenarios sending equal
+    traffic on equal machines share one crossbar reference, through the
+    process-wide memo.
     """
     if not scenarios:
         raise ValueError("compare needs at least one scenario")
     names = tuple(metrics) if metrics is not None else DEFAULT_METRICS
-    memo: CrossbarMemo = {}
     results = tuple(
-        evaluate_scenario(s, metrics=names, engine=engine, config=config, crossbar_memo=memo)
-        for s in scenarios
+        evaluate_scenario(s, metrics=names, engine=engine, config=config) for s in scenarios
     )
     return Comparison(results=results, metrics=names)

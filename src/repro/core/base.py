@@ -74,25 +74,26 @@ def pair_array(pairs: PairInput, num_leaves: int) -> IntArray:
     return arr.astype(np.int64, copy=False)
 
 
-def leaf_ids(values: object) -> IntArray:
+def leaf_ids(values: object, what: str = "leaf id") -> IntArray:
     """A flat batch of integer leaf ids as int64: one column of :func:`pair_array`.
 
     For callers that take sources and destinations apart (the route
-    server's JSON requests): the same conversion and integer rule, with
-    no range check, so the caller keeps its own range error.  Raises
-    ``ValueError`` for a batch that is not flat and for the first entry
-    that is not a 64-bit integer: floats (integral or not), bools,
+    server's JSON requests; a :class:`repro.patterns.Phase`, whose errors
+    name ``what`` each value is): the same conversion and integer rule,
+    with no range check, so the caller keeps its own range error.
+    Raises ``ValueError`` for a batch that is not flat and for the first
+    entry that is not a 64-bit integer: floats (integral or not), bools,
     strings and ints beyond 64 bits are rejected, never truncated.
     """
-    arr = _converted(values, "leaf ids must be a flat list of integers")
+    arr = _converted(values, f"{what}s must be a flat list of integers")
     if arr.ndim != 1:
-        raise ValueError(f"leaf ids must be a flat list of integers, got shape {arr.shape}")
+        raise ValueError(f"{what}s must be a flat list of integers, got shape {arr.shape}")
     if arr.size == 0:
         return np.empty(0, dtype=np.int64)
     f = _first_non_integer(arr[:, None])
     if f is not None:
         raise ValueError(
-            f"leaf id {arr[f : f + 1].tolist()[0]!r} at index {f} is not a 64-bit "
+            f"{what} {arr[f : f + 1].tolist()[0]!r} at index {f} is not a 64-bit "
             f"integer (dtype {arr.dtype})"
         )
     # a uint64 id past the int64 range wraps negative: the caller's

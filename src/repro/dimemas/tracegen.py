@@ -111,11 +111,10 @@ def pattern_trace(
     for tag, phase in enumerate(pattern.phases):
         sends: dict[int, list] = {r: [] for r in range(n)}
         recvs: dict[int, list] = {r: [] for r in range(n)}
-        for f in phase.flows:
-            if f.src == f.dst:
-                continue
-            sends[f.src].append(Isend(f.dst, f.size, tag=tag))
-            recvs[f.dst].append(Irecv(f.src, tag=tag))
+        for src, dst, size in zip(phase.src.tolist(), phase.dst.tolist(), phase.sizes.tolist()):
+            if src != dst:
+                sends[src].append(Isend(dst, size, tag=tag))
+                recvs[dst].append(Irecv(src, tag=tag))
         for r in range(n):
             programs[r].extend(recvs[r])
             programs[r].extend(sends[r])

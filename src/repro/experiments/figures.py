@@ -220,10 +220,10 @@ def fig3(num_ranks: int = 128, m1: int = 16) -> Fig3Result:
     names, sizes, flows, locality = [], [], [], []
     for ph in pattern.phases:
         names.append(ph.name)
-        sizes.append(ph.flows[0].size if ph.flows else 0)
-        flows.append(len(ph.flows))
-        local = sum(1 for f in ph.flows if f.src // m1 == f.dst // m1)
-        locality.append(local / len(ph.flows) if ph.flows else 1.0)
+        sizes.append(int(ph.sizes[0]) if len(ph) else 0)
+        flows.append(len(ph))
+        local = np.count_nonzero(ph.src // m1 == ph.dst // m1)
+        locality.append(local / len(ph) if len(ph) else 1.0)
     transpose = [(s, d) for s, d in cg_transpose_exchange(num_ranks)]
     dmodk = make_algorithm("d-mod-k", topo)
     table = dmodk.build_table([p for p in transpose if p[0] // m1 != p[1] // m1])

@@ -327,11 +327,11 @@ def execute_run(
 ) -> dict:
     """Execute one grid cell through the facade and return its record.
 
-    A cell names its pattern by spec, so its crossbar reference comes
-    from the process-wide memo of :mod:`repro.metrics`;
-    ``_crossbar_memo`` only serves live patterns.  ``cache`` is ignored:
-    the benchmark's paper-grid driver still passes a
-    :class:`repro.api.RouteTableCache` placeholder in that position.
+    ``cache`` and ``_crossbar_memo`` are ignored.  The benchmark's
+    paper-grid driver (``bench/grid.py``) still passes both: a
+    :class:`repro.api.RouteTableCache` placeholder and a per-group dict.
+    The crossbar reference comes from the process-wide memo of
+    :mod:`repro.metrics`, keyed on the traffic.
     """
     from ..sim.config import PAPER_CONFIG
 
@@ -340,7 +340,6 @@ def execute_run(
         metrics=metrics,
         engine=engine,
         config=config if config is not None else PAPER_CONFIG,
-        crossbar_memo=_crossbar_memo,
     )
     return result.to_record()
 

@@ -101,34 +101,32 @@ def competitive_ratio(table: PathTable, weights: np.ndarray | None = None) -> fl
 # ----------------------------------------------------------------------
 # Registered metrics (path tables only; SKIPPED on XGFT port tables)
 # ----------------------------------------------------------------------
-def _path_phases(ctx: EvalContext) -> list[tuple[PathTable, np.ndarray]]:
+def _path_tables(ctx: EvalContext) -> list[PathTable]:
+    """The phase tables of a path-routed scenario (none for port tables)."""
     if not ctx.tables or not isinstance(ctx.tables[0], PathTable):
         return []
-    return [
-        (table, np.asarray(sizes, dtype=np.float64))
-        for table, (_, sizes) in zip(ctx.tables, ctx.phases)
-    ]
+    return ctx.tables
 
 
 @register_metric(
     "max_congestion", description="max per-arc load/capacity over phases (graphs)"
 )
 def _max_congestion(ctx: EvalContext):
-    phases = _path_phases(ctx)
-    if not phases:
+    tables = _path_tables(ctx)
+    if not tables:
         return SKIPPED
-    return max(float(arc_congestion(t).max(initial=0.0)) for t, _ in phases)
+    return max(float(arc_congestion(t).max(initial=0.0)) for t in tables)
 
 
 @register_metric(
     "mean_congestion", description="mean used-arc load/capacity over phases (graphs)"
 )
 def _mean_congestion(ctx: EvalContext):
-    phases = _path_phases(ctx)
-    if not phases:
+    tables = _path_tables(ctx)
+    if not tables:
         return SKIPPED
     total, used = 0.0, 0
-    for table, _ in phases:
+    for table in tables:
         congestion = arc_congestion(table)
         mask = congestion > 0
         total += float(congestion[mask].sum())
@@ -141,12 +139,10 @@ def _mean_congestion(ctx: EvalContext):
     description="LP-free demand-cut bound on any routing's max congestion (graphs)",
 )
 def _congestion_lower_bound(ctx: EvalContext):
-    phases = _path_phases(ctx)
-    if not phases:
+    tables = _path_tables(ctx)
+    if not tables:
         return SKIPPED
-    return max(
-        congestion_lower_bound(t.topo, t.src, t.dst) for t, _ in phases
-    )
+    return max(congestion_lower_bound(t.topo, t.src, t.dst) for t in tables)
 
 
 @register_metric(
@@ -154,13 +150,10 @@ def _congestion_lower_bound(ctx: EvalContext):
     description="achieved max congestion over the demand lower bound (graphs)",
 )
 def _competitive_ratio(ctx: EvalContext):
-    phases = _path_phases(ctx)
-    if not phases:
+    tables = _path_tables(ctx)
+    if not tables:
         return SKIPPED
-    worst = 0.0
-    for table, _ in phases:
-        ratio = competitive_ratio(table)
-        worst = max(worst, ratio)
+    worst = max(competitive_ratio(table) for table in tables)
     return worst if worst > 0 else SKIPPED
 
 

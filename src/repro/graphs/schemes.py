@@ -26,8 +26,9 @@ All three emit :class:`~repro.graphs.table.PathTable` and accept
 either a :class:`~repro.graphs.graph.GeneralGraph` or an XGFT (lowered
 on the spot), so they run on every registered topology.  None of them
 override :meth:`~repro.core.base.RoutingAlgorithm.prepare` — they stay
-structurally oblivious, so a dynamic scenario can serve them from one
-cached all-pairs table.
+structurally oblivious, so a dynamic scenario routes its whole stream
+of arrivals in one ``build_table`` call, as it does for the XGFT
+schemes.
 """
 
 from __future__ import annotations
@@ -326,9 +327,25 @@ class XGFTPathRouting(PathRoutingAlgorithm):
             )
 
     def pair_arcs(self, src: int, dst: int) -> list[int]:
-        link_map = self.topo.xgft_link_map
-        route = self.inner.route(src, dst)
-        return [int(link_map[link]) for link in route.links(self.inner.topo)]
+        return self.build_table([(src, dst)]).arcs.tolist()
+
+    def build_table(self, pairs: PairInput) -> PathTable:
+        """Route the batch with one ``inner.build_table`` call.
+
+        Each flow's XGFT links become arcs through the link map, placed
+        in path order: up links by ascending level, then down links by
+        descending level, as :meth:`~repro.core.route.Route.links`
+        yields them.
+        """
+        table = self.inner.build_table(pairs)
+        flows, links = table.flow_links()
+        level, down = self.inner.topo.link_levels(links)
+        hop = np.where(down, 2 * table.nca_level[flows] - 1 - level, level)
+        offsets = np.zeros(len(table) + 1, dtype=np.int64)
+        np.cumsum(2 * table.nca_level, out=offsets[1:])
+        arcs = np.empty(offsets[-1], dtype=np.int64)
+        arcs[offsets[flows] + hop] = self.topo.xgft_link_map[links]
+        return PathTable(self.topo, table.src, table.dst, offsets, arcs)
 
 
 def _register(cls):

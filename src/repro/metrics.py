@@ -25,26 +25,28 @@ the CLI.  All built-in metrics are lower-is-better, which is what the
 regression comparison (``repro compare``) assumes.
 
 The slowdown denominator (the Full-Crossbar time of the pattern) is
-memoized per process for spec-named patterns: one entry per (pattern
-spec, machine size, engine, network config), with the registered
-pattern builder and engine in the key, so re-registering either name
-misses.  At most :data:`CROSSBAR_MEMO_SIZE` entries are kept, least
-recently used first out.  Live :class:`~repro.patterns.Pattern`
-objects stay in the caller's own memo, keyed by identity.
+memoized per process, keyed on a digest of the traffic (each phase's
+``src``/``dst``/``sizes`` columns in order, and the rank count) with
+the machine size, the registered engine and the config: equal traffic
+shares one entry whether named by spec or passed live, and the memo
+keeps no pattern alive.  At most :data:`CROSSBAR_MEMO_SIZE` entries
+are kept, least recently used first out; lossy fault scenarios bypass it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .contention import link_load_summary, max_network_contention, routes_per_nca
 from .core.base import RouteTable
 from .faults import inflation_ratio, repair_table
 from .obs import active as _obs_active
 from .obs import metrics as _obs_metrics
-from .patterns.registry import pattern_builder
 from .registry import Registry
 from .sim.config import PAPER_CONFIG, NetworkConfig
 from .sim.engines import DEFAULT_ENGINE, is_fluid_engine, resolve_engine
@@ -76,12 +78,12 @@ METRICS: Registry = Registry("metric")
 #: entries the process-wide crossbar-reference memo keeps
 CROSSBAR_MEMO_SIZE = 256
 
-#: ``key -> (t_ref, pattern builder, engine)`` for spec-named patterns.
-#: The key holds the ids of the builder and engine; the entry holds the
-#: objects, so no other object can take either id while it exists.  A
-#: pure cache: a worker process filling its own copy computes the same
-#: values, so ``jobs=1`` and ``jobs=N`` sweeps still agree.
-_CROSSBAR_REFS: OrderedDict[tuple, tuple[float, object, object]] = OrderedDict()
+#: ``(traffic digest, num_leaves, engine name, id(engine), config) ->
+#: (t_ref, engine)``.  The entry holds the engine object, so no other
+#: object can take its id while the entry exists.  A pure cache: a
+#: worker process filling its own copy computes the same values, so
+#: ``jobs=1`` and ``jobs=N`` sweeps still agree.
+_CROSSBAR_REFS: OrderedDict[tuple, tuple[float, object]] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class EvalContext:
     """Everything a metric may consult about one evaluated scenario.
 
     ``tables``/``phases`` are the *surviving* per-phase route tables and
-    ``(pairs, sizes)`` lists (post-repair under faults); ``baseline_agg``
+    :func:`phase_pairs` arrays (post-repair under faults); ``baseline_agg``
     is the pristine load aggregate the inflation metrics compare
     against.  The link census and the simulation are computed lazily and
     cached, shared by every metric that reads them.
@@ -139,7 +141,7 @@ class EvalContext:
     pattern: object
     algorithm: object
     tables: list[RouteTable]
-    phases: list[tuple[list[tuple[int, int]], list[int]]]
+    phases: list[tuple[np.ndarray, np.ndarray]]
     engine: str = DEFAULT_ENGINE
     config: NetworkConfig = PAPER_CONFIG
     seed: int = 0
@@ -149,14 +151,6 @@ class EvalContext:
     #: run identity for diagnostics (e.g. the replay lossy-fault error)
     label: str = ""
     faults_label: str = "none"
-    #: per-call crossbar-memo key component of a live pattern
-    pattern_key: str = ""
-    #: the caller's ``(pattern_key, num_leaves, engine, config) -> t_ref``
-    #: memo, used for live patterns only
-    crossbar_memo: dict | None = None
-    #: the registry spec of a spec-named pattern (``None`` for a live
-    #: Pattern); spec-named references go to the process-wide memo
-    pattern_spec: str | None = None
 
     _load_aggregate: tuple | None = field(default=None, repr=False)
     _sim_time: float | None = field(default=None, repr=False)
@@ -190,13 +184,15 @@ class EvalContext:
 # ----------------------------------------------------------------------
 # Shared machinery (formerly private to the sweep engine)
 # ----------------------------------------------------------------------
-def phase_pairs(pattern) -> list[tuple[list[tuple[int, int]], list[int]]]:
-    """Per-phase (pairs, sizes) with self-flows dropped (they use no links)."""
+def phase_pairs(pattern) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-phase ``(pairs, sizes)`` arrays with self-flows dropped (they
+    use no links): an ``(F, 2)`` int64 pair array and the F int64 sizes,
+    in the phase's flow order.  A phase left without flows is omitted."""
     out = []
     for phase in pattern.phases:
-        kept = [(f.pair, f.size) for f in phase.flows if f.src != f.dst]
-        if kept:
-            out.append(([p for p, _ in kept], [s for _, s in kept]))
+        keep = phase.src != phase.dst
+        if keep.any():
+            out.append((np.column_stack((phase.src[keep], phase.dst[keep])), phase.sizes[keep]))
     return out
 
 
@@ -284,7 +280,7 @@ def slowdown_ratio(t_net: float, t_ref: float, pattern) -> float:
     """
     if t_ref > 0:
         return t_net / t_ref
-    if t_net <= 0 and any(phase.flows for phase in pattern.phases):
+    if t_net <= 0 and len(pattern):
         return 1.0
     raise ValueError("crossbar reference time must be positive (empty pattern?)")
 
@@ -381,35 +377,36 @@ def _slowdown(ctx: EvalContext):
 def _memoized_reference(ctx: EvalContext) -> float:
     """The whole pattern's crossbar time, from the memo when possible.
 
-    The config is part of every key: a re-evaluation under a different
+    The config is part of the key: a re-evaluation under a different
     config must not divide by the old config's reference time.
     """
     num_leaves = ctx.topo.num_leaves
-    if ctx.pattern_spec is None:
-        # a live Pattern: the caller's memo, keyed by identity
-        memo = ctx.crossbar_memo if ctx.crossbar_memo is not None else {}
-        key: tuple = (ctx.pattern_key, num_leaves, ctx.engine, ctx.config)
-        t_ref = memo.get(key)
-        hit = t_ref is not None
-        if t_ref is None:
-            t_ref = memo[key] = crossbar_reference(ctx.pattern, num_leaves, ctx.config, ctx.engine)
+    engine = resolve_engine(ctx.engine)
+    key = (_traffic_digest(ctx.pattern), num_leaves, engine.name, id(engine), ctx.config)
+    entry = _CROSSBAR_REFS.get(key)
+    if entry is not None:
+        _CROSSBAR_REFS.move_to_end(key)
+        t_ref = entry[0]
     else:
-        builder = pattern_builder(ctx.pattern_spec)
-        engine = resolve_engine(ctx.engine)
-        key = (ctx.pattern_spec, id(builder), num_leaves, engine.name, id(engine), ctx.config)
-        entry = _CROSSBAR_REFS.get(key)
-        hit = entry is not None
-        if entry is not None:
-            _CROSSBAR_REFS.move_to_end(key)
-            t_ref = entry[0]
-        else:
-            t_ref = crossbar_reference(ctx.pattern, num_leaves, ctx.config, ctx.engine)
-            _CROSSBAR_REFS[key] = (t_ref, builder, engine)
-            if len(_CROSSBAR_REFS) > CROSSBAR_MEMO_SIZE:
-                _CROSSBAR_REFS.popitem(last=False)
+        t_ref = crossbar_reference(ctx.pattern, num_leaves, ctx.config, ctx.engine)
+        _CROSSBAR_REFS[key] = (t_ref, engine)
+        if len(_CROSSBAR_REFS) > CROSSBAR_MEMO_SIZE:
+            _CROSSBAR_REFS.popitem(last=False)
     if _obs_active():
-        _obs_metrics.counter("metrics.crossbar_hits" if hit else "metrics.crossbar_computes").inc()
+        name = "metrics.crossbar_hits" if entry is not None else "metrics.crossbar_computes"
+        _obs_metrics.counter(name).inc()
     return t_ref
+
+
+def _traffic_digest(pattern) -> bytes:
+    """A digest of everything the crossbar time depends on: the rank
+    count and each phase's flow columns, in order (names excluded)."""
+    digest = hashlib.blake2b(np.int64(pattern.num_ranks).tobytes(), digest_size=16)
+    for phase in pattern.phases:
+        digest.update(np.int64(len(phase)).tobytes())
+        for column in (phase.src, phase.dst, phase.sizes):
+            digest.update(column.tobytes())
+    return digest.digest()
 
 
 #: metrics computed when a spec does not name its own

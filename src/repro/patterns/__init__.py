@@ -11,7 +11,7 @@ from .applications import (
     wrf_exchange,
     wrf_pattern,
 )
-from .base import Flow, Pattern, Phase
+from .base import Pattern, Phase
 from .decomposition import decompose_into_permutations, max_endpoint_multiplicity
 from .generators import (
     bit_complement,
@@ -28,7 +28,6 @@ from .permutations import Permutation
 from .registry import PATTERNS, available_patterns, register_pattern, resolve_pattern
 
 __all__ = [
-    "Flow",
     "Phase",
     "Pattern",
     "Permutation",

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import Pattern
+from .base import Pattern, Phase
 
 __all__ = ["Permutation"]
 
@@ -86,9 +86,9 @@ class Permutation:
         ]
 
     def pattern(self, size: int = 1, name: str = "") -> Pattern:
-        return Pattern.single_phase(
-            self.pairs(), size=size, name=name or "permutation", num_ranks=len(self)
-        )
+        src = np.flatnonzero(self.perm != np.arange(len(self)))
+        phase = Phase(src, self.perm[src], np.full(len(src), size), name=name or "permutation")
+        return Pattern((phase,), name=phase.name, num_ranks=len(self))
 
     # -- dunders ------------------------------------------------------------
     def __len__(self) -> int:

@@ -29,13 +29,11 @@ name does: :class:`repro.api.Scenario`, sweep specs, the CLI.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..registry import Registry, parse_spec
 from .applications import CG_PHASE_MESSAGE, cg_pattern, cg_transpose_exchange, wrf_pattern
-from .base import Pattern
+from .base import Pattern, Phase
 from .generators import (
     bit_complement,
     bit_reversal,
@@ -50,7 +48,6 @@ __all__ = [
     "register_pattern",
     "resolve_pattern",
     "available_patterns",
-    "pattern_builder",
 ]
 
 #: the pattern registry: name -> ``builder(num_leaves, **params) -> Pattern``
@@ -113,9 +110,8 @@ def _neighbor(num_leaves: int, d: int = 1) -> Pattern:
 def _all_pairs(num_leaves: int) -> Pattern:
     src, dst = np.divmod(np.arange(num_leaves * num_leaves, dtype=np.int64), num_leaves)
     keep = src != dst
-    return Pattern.single_phase(
-        zip(src[keep].tolist(), dst[keep].tolist()), name="all-pairs", num_ranks=num_leaves
-    )
+    phase = Phase(src[keep], dst[keep], np.ones(int(keep.sum()), dtype=np.int64), "all-pairs")
+    return Pattern((phase,), name="all-pairs", num_ranks=num_leaves)
 
 
 @register_pattern("wrf")
@@ -161,16 +157,6 @@ def _parse_pattern_spec(key: str) -> tuple[str, dict]:
         if key.startswith(head + "-") and key[len(head) + 1 :].isdigit():
             return head, {_LEGACY_SUFFIX_PARAM[head]: int(key[len(head) + 1 :])}
     return key, {}
-
-
-def pattern_builder(spec: str) -> Callable[..., Pattern]:
-    """The registered builder a pattern spec resolves to.
-
-    Its identity changes when the name is re-registered, so keys derived
-    from a spec (the crossbar-reference memo) can tell the two apart.
-    """
-    name, _ = _parse_pattern_spec(str(spec).lower().strip())
-    return PATTERNS.get(name)
 
 
 def resolve_pattern(spec: str | Pattern, num_leaves: int) -> Pattern:

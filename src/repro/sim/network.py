@@ -203,11 +203,7 @@ def crossbar_phase_time(
 ) -> float:
     """Full-Crossbar time of one phase; see :func:`crossbar_flows_time`."""
     return crossbar_flows_time(
-        [f.pair for f in phase.flows],
-        [f.size for f in phase.flows],
-        num_leaves,
-        config,
-        engine=engine,
+        np.column_stack((phase.src, phase.dst)), phase.sizes, num_leaves, config, engine=engine
     )
 
 

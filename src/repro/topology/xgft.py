@@ -333,6 +333,12 @@ class XGFT:
         index -= self._link_level_offset[level]
         return direction, level, index // self.w[level], index % self.w[level]
 
+    def link_levels(self, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each link's lower-endpoint level, and a mask of the down links."""
+        down = links >= self.num_links_per_direction
+        lower = links - down * self.num_links_per_direction
+        return np.searchsorted(self._link_level_offset, lower, side="right") - 1, down
+
     # ------------------------------------------------------------------
     # Iteration helpers
     # ------------------------------------------------------------------

@@ -302,15 +302,13 @@ class TestSlowdownMetric:
         """Regression: a pattern whose every flow is a self-pair moves
         no network bytes, so t_net == t_ref == 0 — slowdown is 1.0 by
         convention, not a ZeroDivisionError/ValueError."""
-        from repro.patterns.base import Flow, Pattern, Phase
+        from repro.patterns.base import Pattern, Phase
 
         topo = slimmed_two_level(4, 4, 2)
-        degenerate = Pattern(
-            (Phase(tuple(Flow(i, i, 100) for i in range(4))),), name="self-only"
-        )
+        degenerate = Pattern((Phase(range(4), range(4), [100] * 4),), name="self-only")
         assert Scenario(topo, degenerate, "d-mod-k").evaluate(("slowdown",))["slowdown"] == 1.0
         # a pattern with no flows at all stays an error (caller bug)
-        empty = Scenario(topo, Pattern((Phase(()),), name="empty"), "d-mod-k")
+        empty = Scenario(topo, Pattern((Phase([], [], []),), name="empty"), "d-mod-k")
         with pytest.raises(ValueError, match="reference time"):
             empty.evaluate(metrics=("slowdown",))
 

@@ -139,6 +139,27 @@ class TestXGFTPathBridge:
         mapped = arc_loads(table)[bridge.topo.xgft_link_map]
         assert np.array_equal(native, mapped.astype(np.int64))
 
+    @pytest.mark.parametrize("xgft", ["XGFT(2;8,8;1,4)", "XGFT(3;4,4,4;2,2,2)"])
+    @pytest.mark.parametrize("scheme", ["d-mod-k", "r-nca-u"])
+    def test_arcs_follow_the_route_links(self, xgft, scheme):
+        """The batch gives every pair, self-pairs and repeats included,
+        the arcs of its ``Route.links`` in path order, and
+        ``pair_arcs`` answers the same."""
+        topo = resolve_topology(xgft)
+        n = topo.num_leaves
+        pairs = [(s, d) for s in range(n) for d in range(n)]
+        pairs += [(3, 9), (3, 9)]
+        bridge = make_algorithm(f"xgft-path(scheme={scheme})", topo, seed=5)
+        table = bridge.build_table(pairs)
+        table.validate()
+        link_map = bridge.topo.xgft_link_map
+        for f, (s, d) in enumerate(pairs):
+            want = [int(link_map[link]) for link in bridge.inner.route(s, d).links(topo)]
+            assert table.path_arcs(f).tolist() == want, (s, d)
+        for s, d in [(0, 1), (0, n - 1), (5, 5), (n - 1, 2)]:
+            want = [int(link_map[link]) for link in bridge.inner.route(s, d).links(topo)]
+            assert bridge.pair_arcs(s, d) == want
+
     def test_requires_xgft_provenance(self):
         with pytest.raises(GraphError, match="lowered from an XGFT"):
             XGFTPathRouting(leafspine(leaves=2, spines=2, hosts=1))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.patterns import Flow, Pattern, Phase
+from repro.patterns import Pattern, Phase
 from repro.topology import XGFT
 
 __all__ = ["xgft_strategy", "xgft_examples", "leaf_pairs", "placed", "rng", "count_routing"]
@@ -70,11 +70,9 @@ def leaf_pairs(draw, topo: XGFT):
 
 def placed(pattern: Pattern, leaf: Sequence[int]) -> Pattern:
     """``pattern`` with rank ``r`` running on leaf ``leaf[r]``."""
+    leaf = np.asarray(leaf)
     return Pattern(
-        tuple(
-            Phase(tuple(Flow(leaf[f.src], leaf[f.dst], f.size) for f in ph.flows), name=ph.name)
-            for ph in pattern.phases
-        ),
+        tuple(Phase(leaf[ph.src], leaf[ph.dst], ph.sizes, name=ph.name) for ph in pattern.phases),
         name=f"placed({pattern.name})",
     )
 

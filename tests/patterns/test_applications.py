@@ -34,9 +34,7 @@ class TestWRF:
     def test_single_phase_two_outstanding(self):
         pat = wrf_pattern(256)
         assert len(pat.phases) == 1
-        sends = np.zeros(256, dtype=int)
-        for f in pat.phases[0].flows:
-            sends[f.src] += 1
+        sends = np.bincount(pat.phases[0].src, minlength=256)
         assert sends[16:-16].tolist() == [2] * 224
         assert sends[0] == 1 and sends[255] == 1
 
@@ -131,7 +129,7 @@ class TestCGPattern:
     def test_five_equal_phases(self):
         pat = cg_pattern(128)
         assert len(pat.phases) == 5
-        sizes = {f.size for ph in pat.phases for f in ph.flows}
+        sizes = {size for ph in pat.phases for size in ph.sizes.tolist()}
         assert sizes == {CG_PHASE_MESSAGE}
 
     def test_paper_750kb(self):

@@ -114,9 +114,8 @@ class TestPatternSlowdowns:
         """The transpose phase runs ~7x slower under D-mod-k (paper: 8x)."""
         pat = cg_pattern(128)
         transpose = pat.phases[-1]
-        pairs = [f.pair for f in transpose.flows]
-        table = DModK(topo).build_table(pairs)
-        t = simulate_phase_fluid(table, [f.size for f in transpose.flows])
+        table = DModK(topo).build_table(transpose.pairs())
+        t = simulate_phase_fluid(table, transpose.sizes)
         t_ref = crossbar_phase_time(transpose, 256)
         assert t / t_ref == pytest.approx(7.0, rel=1e-6)
 

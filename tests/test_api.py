@@ -204,9 +204,9 @@ class TestScenarioEvaluation:
             s.evaluate(metrics=("sim_time",), engine="fluidd")  # repro: noqa[REP010] deliberately unknown: error-path test
 
     def test_crossbar_memo_keyed_by_config(self):
-        """Regression: the scenario-held crossbar memo ignored the
-        config, so re-evaluating under doubled bandwidth divided the new
-        sim time by the old reference and reported slowdown 0.5."""
+        """Regression: a crossbar memo once ignored the config, so
+        re-evaluating under doubled bandwidth divided the new sim time
+        by the old reference and reported slowdown 0.5."""
         from dataclasses import replace as dc_replace
 
         from repro.sim.config import PAPER_CONFIG
@@ -228,9 +228,9 @@ class TestSlowdownRule:
     def test_self_pair_pattern_is_one(self, engine):
         """Regression: every flow a self-pair moves no network bytes, so
         t_net == t_ref == 0, and the slowdown is the 1.0 convention."""
-        from repro.patterns.base import Flow, Pattern, Phase
+        from repro.patterns.base import Pattern, Phase
 
-        pattern = Pattern((Phase(tuple(Flow(i, i, 100) for i in range(8))),), name="self")
+        pattern = Pattern((Phase(range(8), range(8), [100] * 8),), name="self")
         metric = Scenario(self.TOPO, pattern, "d-mod-k").evaluate(
             metrics=("slowdown",), engine=engine
         )
@@ -238,20 +238,20 @@ class TestSlowdownRule:
 
     def test_zero_size_pattern_is_an_error(self):
         """A pattern with no flows at all is a caller error."""
-        from repro.patterns.base import Flow, Pattern, Phase
+        from repro.patterns.base import Pattern, Phase
 
-        empty = Pattern((Phase(()),), name="empty")
+        empty = Pattern((Phase([], [], []),), name="empty")
         with pytest.raises(ValueError, match="reference time"):
             Scenario(self.TOPO, empty, "d-mod-k").evaluate(metrics=("slowdown",))
         # and a flow cannot carry zero bytes in the first place
         with pytest.raises(ValueError, match="non-positive size"):
-            Flow(0, 17, 0)
+            Phase([0], [17], [0])
 
     def test_zero_reference_with_network_time_is_an_error(self):
         from repro.metrics import slowdown_ratio
-        from repro.patterns.base import Flow, Pattern, Phase
+        from repro.patterns.base import Pattern, Phase
 
-        pattern = Pattern((Phase((Flow(0, 17, 100),)),), name="one")
+        pattern = Pattern((Phase([0], [17], [100]),), name="one")
         assert slowdown_ratio(6.0, 2.0, pattern) == 3.0
         assert slowdown_ratio(0.0, 0.0, pattern) == 1.0
         with pytest.raises(ValueError, match="reference time"):

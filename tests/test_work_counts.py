@@ -53,6 +53,19 @@ MIXED_SWEEP = SweepSpec(
 #: The worst-links dynamic cell used to route its stream a second time.
 MIXED_ROUTED_PAIRS = 16 + 16 + 40 + 40
 
+#: the xgft-path bridge on a paper-size tree, one cell per pattern
+BRIDGE_SWEEP = SweepSpec(
+    topologies=("XGFT(2;16,16;1,8)",),
+    patterns=("shift-1", "bit-reversal", "wrf-256"),
+    algorithms=("xgft-path(scheme=d-mod-k)",),
+    metrics=("max_link_load",),
+)
+#: each cell routes its pairs in one call of the wrapped d-mod-k:
+#: shift-1's 256, bit-reversal's 240 (16 fixed points on 8 bits) and
+#: WRF-256's 480.  The bridge used to make one route() call per
+#: distinct pair, 976 in all.
+BRIDGE_ROUTED_PAIRS = [256, 240, 480]
+
 #: one stream that reaches all three refill paths of the incremental
 #: engine: component-local partial refills, full refills, and
 #: certificate-failure fallbacks to a full refill
@@ -85,6 +98,12 @@ def test_mixed_sweep_builds_no_all_pairs_table(routing_calls):
     assert len(result.runs) == 4
     assert routing_calls["all_pairs"] == 0
     assert sum(routing_calls["pairs"]) == MIXED_ROUTED_PAIRS
+
+
+def test_bridge_routes_each_cell_in_one_batch(routing_calls):
+    result = run_sweep(BRIDGE_SWEEP)
+    assert len(result.runs) == 3
+    assert routing_calls == {"pairs": BRIDGE_ROUTED_PAIRS, "all_pairs": 0, "route": 0}
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +157,7 @@ def test_replay_routes_its_pairs_in_one_batch(app, routing_calls):
     pattern = REPLAY_PATTERNS[app]
     scenario = Scenario(REPLAY_TOPOLOGY, pattern, "d-mod-k")
     scenario.evaluate(metrics=("sim_time",), engine="replay")
-    phases = [len([f for f in ph.flows if f.src != f.dst]) for ph in pattern.phases]
+    phases = [int((ph.src != ph.dst).sum()) for ph in pattern.phases]
     distinct = len({p for p in pattern.pairs() if p[0] != p[1]})
     assert routing_calls == {"pairs": [*phases, distinct], "all_pairs": 0, "route": 0}
     if app == "wrf-256":

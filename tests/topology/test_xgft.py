@@ -238,6 +238,14 @@ class TestLinkIndexing:
             else:
                 assert topo.down_link_index(level, node, port) == idx
 
+    def test_link_levels_match_describe_link(self, slimmed_deep_tree):
+        topo = slimmed_deep_tree
+        links = np.arange(topo.num_directed_links)
+        level, down = topo.link_levels(links)
+        described = [topo.describe_link(idx) for idx in links]
+        assert level.tolist() == [lvl for _, lvl, _, _ in described]
+        assert down.tolist() == [d == "down" for d, _, _, _ in described]
+
     def test_describe_link_range_check(self, small_tree):
         with pytest.raises(ValueError):
             small_tree.describe_link(small_tree.num_directed_links)
