@@ -142,6 +142,13 @@ class RoutingAlgorithm(ABC):
     #: short identifier used by the factory, reports and plots
     name: str = "abstract"
 
+    #: ``"src"`` or ``"dst"`` when every level's up-port is a function of
+    #: that endpoint alone, so :meth:`port_array` reads only that argument
+    #: (S-mod-k, D-mod-k, r-NCA-u, r-NCA-d); ``None`` otherwise.  The
+    #: route store builds such a scheme's all-pairs entry from one port
+    #: column per level instead of routing every pair.
+    steered_by: str | None = None
+
     def __init__(self, topo: XGFT):
         self.topo = topo
 

@@ -30,6 +30,7 @@ class DModK(RoutingAlgorithm):
     """
 
     name = "d-mod-k"
+    steered_by = "dst"
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return source_digit_port(self.topo, level, dst)

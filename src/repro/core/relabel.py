@@ -21,8 +21,9 @@ topological neighbourhoods ("otherwise the relabeling, and thus the
 routing, would be completely random" — the paper's footnote); the
 ablation bench quantifies exactly that degradation.
 
-The maps are materialized as one NumPy table per level, so relabeled
-digit extraction stays fully vectorized.
+The maps are materialized as one NumPy table per level, and their
+images as one per-leaf port table, so relabeled digit extraction is a
+single gather.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ class RelabelMaps:
     digit (an up-port in ``[0, w_{level+1})``).  Level 0 scrambles digit
     ``M_1`` into ``[0, w_1)`` (trivial for the usual ``w_1 == 1``);
     level ``l >= 1`` scrambles digit ``M_l`` into ``[0, w_{l+1})``,
-    mirroring the mod-k port rule it replaces.
+    mirroring the mod-k port rule it replaces.  :meth:`port_array` reads
+    a per-leaf ``(n, h)`` table of these new digits, gathered from the
+    maps once at construction.
     """
 
     def __init__(self, topo: XGFT, seed: int = 0, kind: MapKind = "balanced-random"):
@@ -101,6 +104,10 @@ class RelabelMaps:
         root = np.random.SeedSequence([0x5CA1AB1E, self.seed & 0xFFFFFFFF])
         level_seeds = root.spawn(topo.h)
         self._tables: list[np.ndarray] = []
+        # every leaf's relabeled digit per level: column ``level`` holds
+        # ``table(level)[context, digit]``, gathered once from the maps
+        leaves = np.arange(topo.num_leaves, dtype=np.int64)
+        self._ports = np.empty((topo.num_leaves, topo.h), dtype=np.int64, order="F")
         for level in range(topo.h):
             digit_index = max(level, 1)  # M_1 at level 0, M_l at level l
             m_digit = topo.m[digit_index - 1]
@@ -123,6 +130,8 @@ class RelabelMaps:
             else:  # pragma: no cover - guarded by Literal type
                 raise ValueError(f"unknown relabel map kind: {kind!r}")
             self._tables.append(table)
+            digit = (leaves // topo.mprod(digit_index - 1)) % m_digit
+            self._ports[:, level] = table[leaves // topo.mprod(digit_index), digit]
 
     def table(self, level: int) -> np.ndarray:
         """The ``(contexts, m)`` map table of ``level`` (read-only view)."""
@@ -130,11 +139,7 @@ class RelabelMaps:
 
     def port_array(self, level: int, endpoint: np.ndarray) -> np.ndarray:
         """Relabeled digit (= up-port at ``level``) for an endpoint-id array."""
-        topo = self.topo
-        digit_index = max(level, 1)
-        digit = (endpoint // topo.mprod(digit_index - 1)) % topo.m[digit_index - 1]
-        context = endpoint // topo.mprod(digit_index)
-        return self._tables[level][context, digit]
+        return self._ports[:, level][endpoint]
 
     def new_label(self, leaf: int) -> tuple[int, ...]:
         """The full relabeled digit tuple of a leaf, MSB first.

@@ -29,10 +29,11 @@ __all__ = ["RNCAUp", "RNCADown"]
 
 
 class _RelabeledModK(RoutingAlgorithm):
-    """Shared machinery: mod-k self-routing on relabeled digits."""
+    """Shared machinery: mod-k self-routing on relabeled digits.
 
-    #: which endpoint's (relabeled) digits steer the route
-    _use_source: bool = True
+    Subclasses set :attr:`~RoutingAlgorithm.steered_by` to the endpoint
+    whose relabeled digits steer the route.
+    """
 
     def __init__(
         self,
@@ -46,7 +47,7 @@ class _RelabeledModK(RoutingAlgorithm):
         self.maps = RelabelMaps(topo, seed=seed, kind=map_kind)
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        endpoint = src if self._use_source else dst
+        endpoint = src if self.steered_by == "src" else dst
         return self.maps.port_array(level, endpoint)
 
 
@@ -59,7 +60,7 @@ class RNCAUp(_RelabeledModK):
     """
 
     name = "r-nca-u"
-    _use_source = True
+    steered_by = "src"
 
 
 class RNCADown(_RelabeledModK):
@@ -72,4 +73,4 @@ class RNCADown(_RelabeledModK):
     """
 
     name = "r-nca-d"
-    _use_source = False
+    steered_by = "dst"

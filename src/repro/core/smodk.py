@@ -39,6 +39,7 @@ class SModK(RoutingAlgorithm):
     """Source-mod-k routing (paper Sec. V)."""
 
     name = "s-mod-k"
+    steered_by = "src"
 
     def port_array(self, level: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return source_digit_port(self.topo, level, src)

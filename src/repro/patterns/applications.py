@@ -31,6 +31,8 @@ identically on them (Sec. VII-B/C).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .base import Pattern, Phase
 from .permutations import Permutation
 
@@ -55,26 +57,30 @@ WRF_DEFAULT_MESSAGE = 256 * 1024
 CG_PHASE_MESSAGE = 750_000
 
 
-def wrf_exchange(n: int = 256, row: int = 16) -> list[tuple[int, int]]:
-    """The WRF ±row pairwise exchange pairs on an ``n``-task job."""
+def _wrf_columns(n: int, row: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of the WRF exchange: task ``i`` sends to ``i + row``,
+    then to ``i - row``, each where that task exists."""
     if n % row:
         raise ValueError(f"n={n} must be a multiple of the mesh row {row}")
-    pairs = []
-    for i in range(n):
-        if i + row < n:
-            pairs.append((i, i + row))
-        if i - row >= 0:
-            pairs.append((i, i - row))
-    return pairs
+    tasks = np.arange(n, dtype=np.int64)
+    partners = np.stack([tasks + row, tasks - row], axis=1).ravel()
+    keep = (partners >= 0) & (partners < n)
+    return np.repeat(tasks, 2)[keep], partners[keep]
+
+
+def wrf_exchange(n: int = 256, row: int = 16) -> list[tuple[int, int]]:
+    """The WRF ±row pairwise exchange pairs on an ``n``-task job."""
+    src, dst = _wrf_columns(n, row)
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 def wrf_pattern(
     n: int = 256, row: int = 16, message_size: int = WRF_DEFAULT_MESSAGE
 ) -> Pattern:
     """WRF-256 as a single-phase workload (both sends outstanding)."""
-    return Pattern.single_phase(
-        wrf_exchange(n, row), size=message_size, name=f"WRF-{n}", num_ranks=n
-    )
+    src, dst = _wrf_columns(n, row)
+    phase = Phase(src, dst, np.full(len(src), message_size), name=f"WRF-{n}")
+    return Pattern((phase,), name=phase.name, num_ranks=n)
 
 
 def cg_grid(n: int) -> tuple[int, int]:
@@ -101,7 +107,20 @@ def cg_reduce_exchange(n: int, p: int) -> Permutation:
     l2 = npcols.bit_length() - 1
     if not 0 <= p < l2:
         raise ValueError(f"reduce phase {p} out of range [0, {l2})")
-    return Permutation.from_function(n, lambda me: me ^ (1 << p))
+    return Permutation(np.arange(n, dtype=np.int64) ^ (1 << p))
+
+
+def _cg_transpose_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of the transpose exchange, fixed points dropped."""
+    nprows, npcols = cg_grid(n)
+    me = np.arange(n, dtype=np.int64)
+    if npcols == nprows:
+        partner = (me % nprows) * npcols + me // npcols
+    else:  # npcols == 2 * nprows
+        t = me // 2
+        partner = 2 * ((t % nprows) * nprows + t // nprows) + (me % 2)
+    moves = partner != me
+    return me[moves], partner[moves]
 
 
 def cg_transpose_exchange(n: int) -> list[tuple[int, int]]:
@@ -111,34 +130,20 @@ def cg_transpose_exchange(n: int) -> list[tuple[int, int]]:
     grid, pairs of ranks transpose jointly on the ``nprows x nprows``
     subgrid.  Fixed points (self-partners) are excluded from the traffic.
     """
-    nprows, npcols = cg_grid(n)
-    pairs = []
-    for me in range(n):
-        if npcols == nprows:
-            partner = (me % nprows) * npcols + me // npcols
-        else:  # npcols == 2 * nprows
-            t = me // 2
-            partner = 2 * ((t % nprows) * nprows + t // nprows) + (me % 2)
-        if partner != me:
-            pairs.append((me, partner))
-    return pairs
+    src, dst = _cg_transpose_columns(n)
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 def cg_pattern(n: int = 128, message_size: int = CG_PHASE_MESSAGE) -> Pattern:
     """CG on ``n`` ranks: the five equal-size exchange phases of the paper."""
     _, npcols = cg_grid(n)
     l2 = npcols.bit_length() - 1
+    me = np.arange(n, dtype=np.int64)
+    sizes = np.full(n, message_size)
     phases = [
-        Phase.from_pairs(
-            cg_reduce_exchange(n, p).pairs(),
-            size=message_size,
-            name=f"reduce-exchange-{p}",
-        )
+        Phase(me, cg_reduce_exchange(n, p).perm, sizes, name=f"reduce-exchange-{p}")
         for p in range(l2)
     ]
-    phases.append(
-        Phase.from_pairs(
-            cg_transpose_exchange(n), size=message_size, name="transpose-exchange"
-        )
-    )
+    src, dst = _cg_transpose_columns(n)
+    phases.append(Phase(src, dst, sizes[: len(src)], name="transpose-exchange"))
     return Pattern(tuple(phases), name=f"CG.D-{n}", num_ranks=n)

@@ -27,7 +27,11 @@ Properties the serving layer leans on:
   writing, the stored artifact is never mutated;
 * **versioning** — ``meta.json`` carries
   :data:`repro.store.compact.FORMAT_VERSION`; readers refuse entries
-  written by an incompatible format instead of mis-decoding them.
+  written by an incompatible format instead of mis-decoding them;
+* **checked payloads** — :meth:`ArtifactStore.open` checks every entry
+  against its ``meta.json`` (:meth:`CompactRouteTable.check`) before
+  serving it: a truncated, missing or out-of-range array raises
+  :class:`StoreFormatError` instead of being served.
 
 The root directory resolves, in order: an explicit ``root`` argument,
 the ``REPRO_STORE`` environment variable, then the per-user default
@@ -75,7 +79,8 @@ _log = get_logger(__name__)
 
 
 class StoreFormatError(RuntimeError):
-    """An entry was written by an incompatible store/format version."""
+    """An entry was written by an incompatible format version, or its
+    payload arrays do not match its ``meta.json``."""
 
 
 def default_store_root() -> Path:
@@ -252,14 +257,21 @@ class ArtifactStore:
         """Open an entry zero-copy: payload arrays are read-only mmaps.
 
         Raises ``KeyError`` on a missing entry and
-        :class:`StoreFormatError` on a format-version mismatch.
+        :class:`StoreFormatError` on a format-version mismatch, a
+        ``meta.json`` that is not a JSON object or lacks a field, or a
+        payload that does not match it (:meth:`CompactRouteTable.check`).
         """
         t0 = _time.perf_counter()
         entry = self.entry_dir(key)
         meta_path = entry / "meta.json"
         if not meta_path.is_file():
             raise KeyError(f"no store entry for {key.canonical()!r} under {self.root}")
-        meta = json.loads(meta_path.read_text())
+        try:
+            meta = json.loads(meta_path.read_text())
+        except ValueError as exc:
+            raise StoreFormatError(f"entry {key.digest} has a corrupt meta.json: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise StoreFormatError(f"entry {key.digest} has a meta.json that is not an object")
         version = meta.get("format_version")
         if version != FORMAT_VERSION:
             raise StoreFormatError(
@@ -267,10 +279,6 @@ class ArtifactStore:
                 f"{version!r}; this build reads version {FORMAT_VERSION} "
                 "(rebuild the entry or upgrade)"
             )
-        topo = resolve_topology(meta["topology"])
-        arrays = {
-            p.stem: np.load(p, mmap_mode="r") for p in sorted(entry.glob("*.npy"))
-        }
         fmt = {
             k: v
             for k, v in meta.items()
@@ -286,9 +294,17 @@ class ArtifactStore:
                 *_ENVELOPE_KEYS,
             )
         }
-        table = CompactRouteTable(
-            topo, meta["kind"], meta["encoding"], meta["num_routes"], fmt, arrays
-        )
+        try:
+            topo = resolve_topology(meta["topology"])
+            arrays = {p.stem: np.load(p, mmap_mode="r") for p in sorted(entry.glob("*.npy"))}
+            table = CompactRouteTable(
+                topo, meta["kind"], meta["encoding"], meta["num_routes"], fmt, arrays
+            )
+            table.check()
+        except (KeyError, TypeError, ValueError, EOFError) as exc:
+            raise StoreFormatError(
+                f"entry {key.digest} does not match its meta.json: {exc}"
+            ) from exc
         if _obs_active():
             _metrics.counter("store.opens").inc()
             _metrics.histogram("store.open_s").observe(_time.perf_counter() - t0)
@@ -453,11 +469,15 @@ def open_table(
         nca, ports = table.batch_lookup(srcs, dsts)
 
     On a miss (and ``build=True``) the table is computed, persisted and
-    reopened *from the store* (mmap-backed).  A non-``none`` ``faults``
-    key stores the locally *repaired* table over the realized degraded
-    fabric — disconnected pairs are absent from the entry.  Only
-    oblivious registry schemes with port tables can be built:
-    pattern-aware schemes have no pattern-independent all-pairs
+    reopened *from the store* (mmap-backed).  A pristine key of a scheme
+    steered by one endpoint (``alg.steered_by``: d-mod-k, s-mod-k,
+    r-nca-u, r-nca-d) is written straight from one port column per level
+    (:meth:`CompactRouteTable.steered`), with no pair routed; every other
+    key routes all ``n * (n - 1)`` pairs and encodes them.  A
+    non-``none`` ``faults`` key stores the locally *repaired* table over
+    the realized degraded fabric — disconnected pairs are absent from
+    the entry.  Only oblivious registry schemes with port tables can be
+    built: pattern-aware schemes have no pattern-independent all-pairs
     artifact, and path tables have no compact encoding.
     """
     live = ArtifactStore.ensure(store)
@@ -480,6 +500,9 @@ def open_table(
             f"{key.algorithm!r} emits arc paths: path tables have no "
             "compact on-disk encoding"
         )
+    if key.faults == "none" and alg.steered_by is not None:
+        live.put(key, CompactRouteTable.steered(alg))
+        return live.open(key)
     table = alg.all_pairs_table()
     if key.faults != "none":
         from ..faults import DegradedTopology, parse_fault_spec, repair_table

@@ -15,7 +15,11 @@ Schmid) and its weighted-graph sequel push to sublinear tables:
   rows** — D-mod-k and r-NCA-d choose every up-port from the
   destination alone, so a level's whole ``F``-entry column compresses
   to ``n`` entries (``columnar`` encoding; source-deterministic
-  S-mod-k / r-NCA-u collapse the same way onto the source axis);
+  S-mod-k / r-NCA-u collapse the same way onto the source axis).
+  These four schemes declare the endpoint that steers them
+  (:attr:`~repro.core.base.RoutingAlgorithm.steered_by`), and
+  :meth:`CompactRouteTable.steered` writes their entry straight from
+  one ``n``-entry port column per level, without routing a pair;
 * **randomized NCA tables dedupe shared up-path prefixes** — Random
   NCA draws, per pair, one of at most ``w_1 * ... * w_h`` distinct
   up-path prefixes, so the port matrix compresses to a tiny prefix
@@ -26,9 +30,12 @@ Schmid) and its weighted-graph sequel push to sublinear tables:
 
 :meth:`CompactRouteTable.encode` picks the cheapest applicable encoding
 and the decode (:meth:`CompactRouteTable.to_table`) is bit-exact for
-every table.  All payloads are flat NumPy arrays, so a stored entry
-memory-maps (:mod:`repro.store.artifact`) and batch lookups gather
-straight from the mapped columns without materializing the table.
+every table; a steered entry is byte-identical to the encoded
+all-pairs table of its scheme.  All payloads are flat NumPy arrays, so
+a stored entry memory-maps (:mod:`repro.store.artifact`) and batch
+lookups gather straight from the mapped columns without materializing
+the table.  :meth:`CompactRouteTable.check` checks payloads against
+their descriptor before a stored entry is served.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import numpy as np
 from ..topology import XGFT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from ..core.base import RoutingAlgorithm
     from ..core.route import Route, RouteTable
 
 __all__ = ["CompactRouteTable", "FORMAT_VERSION"]
@@ -56,6 +64,15 @@ def _uint_dtype(max_value: int) -> np.dtype:
         if max_value <= np.iinfo(dt).max:
             return np.dtype(dt)
     return np.dtype(np.uint64)
+
+
+def _check_ports(ports: np.ndarray, w: int, what: str) -> None:
+    """Raise ``ValueError`` if one of a level's ports leaves ``[0, w)``."""
+    values = ports.astype(np.int64)  # a uint64 past int64 wraps negative
+    bad = np.flatnonzero((values < 0) | (values >= w))
+    if len(bad):
+        f = int(bad[0])
+        raise ValueError(f"{what} holds port {int(values[f])} at entry {f}, outside [0, {w})")
 
 
 def _all_pairs_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +157,68 @@ class CompactRouteTable:
             **self.meta,
         }
 
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the payload arrays fit the descriptor.
+
+        Checked: the array names the encoding needs, no more and no
+        fewer; every per-route array (endpoints, explicit levels,
+        ``codes``, ``levelN``) is a flat integer array of ``num_routes``
+        entries; an all-pairs table has ``n * (n - 1)`` routes.  Values
+        are checked only where they are few: each of a columnar table's
+        ``h`` columns holds ``n`` ports, each ``< w_{i+1}``, on a
+        ``src`` or ``dst`` axis, and a prefix dictionary is an
+        ``(num_prefixes, h)`` table of in-range ports.  Per-route values
+        are not scanned, so checking a multi-million-route entry stays
+        cheap.
+        """
+        topo = self.topo
+        n, h, num_routes = topo.num_leaves, topo.h, self.num_routes
+        if self.kind == "all-pairs" and num_routes != n * (n - 1):
+            raise ValueError(
+                f"an all-pairs table on {n} leaves has {n * (n - 1)} routes, "
+                f"not {num_routes}"
+            )
+        lengths = {}  # payload name -> entries it must hold
+        if self.kind == "pairs":
+            lengths.update(src=num_routes, dst=num_routes)
+        if self.meta.get("explicit_nca"):
+            lengths["nca"] = num_routes
+        if self.encoding == "columnar":
+            lengths.update({f"col{i}": n for i in range(h)})
+        elif self.encoding == "prefix-dict":
+            lengths.update(codes=num_routes, prefixes=self.meta.get("num_prefixes"))
+        else:
+            lengths.update({f"level{i}": num_routes for i in range(h)})
+        if set(self.arrays) != set(lengths):
+            raise ValueError(
+                f"a {self.encoding} {self.kind} table holds the arrays "
+                f"{sorted(lengths)}, not {sorted(self.arrays)}"
+            )
+        for name, length in lengths.items():
+            array = self.arrays[name]
+            ndim = 2 if name == "prefixes" else 1
+            if array.dtype.kind not in "iu" or array.ndim != ndim:
+                raise ValueError(
+                    f"array {name!r} is not a {ndim}-D integer array "
+                    f"(dtype {array.dtype}, shape {array.shape})"
+                )
+            if len(array) != length:
+                raise ValueError(f"array {name!r} has {len(array)} entries, not {length}")
+        if self.encoding == "columnar":
+            axes = self.meta.get("column_axes")
+            if not isinstance(axes, list) or len(axes) != h:
+                raise ValueError(f"column_axes {axes!r} does not name one axis per level")
+            for i, axis in enumerate(axes):
+                if axis not in ("src", "dst"):
+                    raise ValueError(f"column {i} has unknown axis {axis!r}")
+                _check_ports(self.arrays[f"col{i}"], topo.w[i], f"column {i}")
+        elif self.encoding == "prefix-dict":
+            prefixes = self.arrays["prefixes"]
+            if prefixes.shape[1] != h:
+                raise ValueError(f"prefixes have {prefixes.shape[1]} levels, not {h}")
+            for i in range(h):
+                _check_ports(prefixes[:, i], topo.w[i], f"prefix table level {i}")
+
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
@@ -177,11 +256,7 @@ class CompactRouteTable:
 
         columnar = cls._try_columnar(table)
         if columnar is not None:
-            axes, cols = columnar
-            meta["column_axes"] = list(axes)
-            for i, col in enumerate(cols):
-                arrays[f"col{i}"] = col
-            return cls(topo, kind, "columnar", F, meta, arrays)
+            return cls._columnar(topo, kind, F, meta, arrays, *columnar)
 
         # prefix-dict vs dense: pick by cost
         prefixes, codes = np.unique(table.ports, axis=0, return_inverse=True)
@@ -223,13 +298,74 @@ class CompactRouteTable:
                 col = np.zeros(n, dtype=np.int64)
                 col[ids] = vals
                 if np.array_equal(col[ids], vals):
-                    chosen = (axis, col.astype(_uint_dtype(topo.w[i] - 1)))
+                    chosen = (axis, col)
                     break
             if chosen is None:
                 return None
             axes.append(chosen[0])
             cols.append(chosen[1])
         return axes, cols
+
+    @classmethod
+    def _columnar(
+        cls,
+        topo: XGFT,
+        kind: str,
+        num_routes: int,
+        meta: dict,
+        arrays: dict[str, np.ndarray],
+        axes: list[str],
+        cols: list[np.ndarray],
+    ) -> "CompactRouteTable":
+        """The one constructor of a ``columnar`` table (:meth:`encode`, :meth:`steered`)."""
+        meta["column_axes"] = list(axes)
+        for i, col in enumerate(cols):
+            arrays[f"col{i}"] = col.astype(_uint_dtype(topo.w[i] - 1))
+        return cls(topo, kind, "columnar", num_routes, meta, arrays)
+
+    @classmethod
+    def steered(cls, algorithm: "RoutingAlgorithm") -> "CompactRouteTable":
+        """The all-pairs table of an endpoint-steered scheme, from its port columns.
+
+        ``algorithm.steered_by`` names the endpoint whose id alone fixes
+        each level's up-port, so level ``i`` is the ``n``-entry column
+        ``port_array(i, leaves, leaves)``, kept as 0 where no pair climbs
+        that high.  No pair is routed, and the result is byte-identical
+        to ``encode(algorithm.all_pairs_table())``, down to encode's
+        destination-first axis choice: a source-steered level lands on
+        the destination axis too when every destination sees one port
+        from all the sources outside its level-``i`` subtree.
+        """
+        axis = algorithm.steered_by
+        if axis not in ("src", "dst"):
+            raise ValueError(
+                f"{type(algorithm).__name__} is not steered by one endpoint "
+                f"(steered_by={axis!r})"
+            )
+        topo = algorithm.topo
+        n = topo.num_leaves
+        leaves = np.arange(n, dtype=np.int64)
+        axes: list[str] = []
+        cols: list[np.ndarray] = []
+        for i in range(topo.h):
+            size = topo.mprod(i)  # leaves per level-i subtree
+            if size >= n:  # one subtree: no pair climbs above level i
+                level_axis, col = "dst", np.zeros(n, dtype=np.int64)
+            else:
+                level_axis = axis
+                col = algorithm.port_array(i, leaves, leaves)
+                groups = col.reshape(-1, size)
+                if (
+                    axis == "src"
+                    and (groups == groups[:, :1]).all()
+                    and (len(groups) == 2 or (col == col[0]).all())
+                ):
+                    # every destination's sources are the other
+                    # subtree(s), which all send on one port
+                    level_axis, col = "dst", np.repeat(groups[::-1, 0], size)
+            axes.append(level_axis)
+            cols.append(col)
+        return cls._columnar(topo, "all-pairs", n * (n - 1), {}, {}, axes, cols)
 
     # ------------------------------------------------------------------
     # Decoding / materialization

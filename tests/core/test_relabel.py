@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RelabelMaps, balanced_random_map, mod_map
-from tests.helpers import xgft_examples
+from tests.helpers import xgft_examples, xgft_strategy
 
 
 class TestBalancedRandomMap:
@@ -128,3 +128,22 @@ class TestRelabelMaps:
                 ports = maps.port_array(level, leaves)
                 assert ports.min() >= 0
                 assert ports.max() < topo.w[level]
+
+    @given(
+        topo=xgft_strategy(max_h=3),
+        kind=st.sampled_from(["balanced-random", "mod", "global-random"]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_port_gather_matches_digit_arithmetic(self, topo, kind, seed):
+        """The per-leaf port table gives what the maps give per endpoint:
+        ``table(level)[leaf // P_digit, M_digit(leaf)]``."""
+        maps = RelabelMaps(topo, seed=seed, kind=kind)
+        endpoints = np.random.default_rng(seed).integers(0, topo.num_leaves, size=64)
+        for level in range(topo.h):
+            digit_index = max(level, 1)
+            digit = (endpoints // topo.mprod(digit_index - 1)) % topo.m[digit_index - 1]
+            context = endpoints // topo.mprod(digit_index)
+            ports = maps.port_array(level, endpoints)
+            assert ports.dtype == np.int64
+            np.testing.assert_array_equal(ports, maps.table(level)[context, digit])

@@ -8,11 +8,13 @@ collection; a regular module keeps them importable everywhere.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from repro.patterns import Pattern, Phase
@@ -22,20 +24,18 @@ __all__ = ["xgft_strategy", "xgft_examples", "leaf_pairs", "placed", "rng", "cou
 
 
 def xgft_strategy(max_h: int = 3, max_m: int = 5, max_w: int = 5, max_leaves: int = 256):
-    """Hypothesis strategy generating small random XGFTs."""
+    """Hypothesis strategy generating random XGFTs of 2 to ``max_leaves`` leaves."""
 
     @st.composite
     def build(draw):
         h = draw(st.integers(1, max_h))
         m = tuple(draw(st.integers(1, max_m)) for _ in range(h))
         w = tuple(draw(st.integers(1, max_w)) for _ in range(h))
-        topo = XGFT(m, w)
-        if topo.num_leaves > max_leaves or topo.num_leaves < 2:
-            # keep exhaustive per-example loops cheap
-            raise AssertionError  # pragma: no cover
-        return topo
+        # keep exhaustive per-example loops cheap
+        assume(2 <= math.prod(m) <= max_leaves)
+        return XGFT(m, w)
 
-    return build().filter(lambda t: 2 <= t.num_leaves <= max_leaves)
+    return build()
 
 
 @st.composite

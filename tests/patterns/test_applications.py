@@ -7,6 +7,10 @@ import pytest
 
 from repro.patterns import (
     CG_PHASE_MESSAGE,
+    WRF_DEFAULT_MESSAGE,
+    Pattern,
+    Permutation,
+    Phase,
     cg_grid,
     cg_pattern,
     cg_reduce_exchange,
@@ -14,6 +18,88 @@ from repro.patterns import (
     wrf_exchange,
     wrf_pattern,
 )
+
+POWERS_OF_TWO = [1 << k for k in range(11)]  # 1 .. 1024
+
+
+def reference_wrf_pairs(n: int, row: int) -> list[tuple[int, int]]:
+    """The WRF exchange, one task at a time: ``i + row``, then ``i - row``."""
+    pairs = []
+    for i in range(n):
+        if i + row < n:
+            pairs.append((i, i + row))
+        if i - row >= 0:
+            pairs.append((i, i - row))
+    return pairs
+
+
+def reference_cg_transpose_pairs(n: int) -> list[tuple[int, int]]:
+    """The CG transpose exchange, one rank at a time, fixed points dropped."""
+    nprows, npcols = cg_grid(n)
+    pairs = []
+    for me in range(n):
+        if npcols == nprows:
+            partner = (me % nprows) * npcols + me // npcols
+        else:
+            t = me // 2
+            partner = 2 * ((t % nprows) * nprows + t // nprows) + (me % 2)
+        if partner != me:
+            pairs.append((me, partner))
+    return pairs
+
+
+def reference_cg_pattern(n: int) -> Pattern:
+    """CG built from per-rank Python partners, phase by phase."""
+    _, npcols = cg_grid(n)
+    phases = [
+        Phase.from_pairs(
+            [(me, me ^ (1 << p)) for me in range(n)],
+            size=CG_PHASE_MESSAGE,
+            name=f"reduce-exchange-{p}",
+        )
+        for p in range(npcols.bit_length() - 1)
+    ]
+    phases.append(
+        Phase.from_pairs(
+            reference_cg_transpose_pairs(n),
+            size=CG_PHASE_MESSAGE,
+            name="transpose-exchange",
+        )
+    )
+    return Pattern(tuple(phases), name=f"CG.D-{n}", num_ranks=n)
+
+
+class TestAgainstPerRankReference:
+    """The array-built applications equal a per-rank Python construction."""
+
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_cg_pattern(self, n):
+        assert cg_pattern(n) == reference_cg_pattern(n)
+
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_cg_exchanges_keep_their_types(self, n):
+        pairs = cg_transpose_exchange(n)
+        assert pairs == reference_cg_transpose_pairs(n)
+        assert all(type(s) is int and type(d) is int for s, d in pairs)
+        for p in range(cg_grid(n)[1].bit_length() - 1):
+            perm = cg_reduce_exchange(n, p)
+            assert isinstance(perm, Permutation)
+            assert perm == Permutation([me ^ (1 << p) for me in range(n)])
+
+    @pytest.mark.parametrize("n", [n for n in POWERS_OF_TWO if n >= 16])
+    def test_wrf_pattern(self, n):
+        expected = Pattern.single_phase(
+            reference_wrf_pairs(n, 16), size=WRF_DEFAULT_MESSAGE, name=f"WRF-{n}", num_ranks=n
+        )
+        assert wrf_pattern(n) == expected
+
+    @pytest.mark.parametrize(
+        "n, row", [(n, row) for n in POWERS_OF_TWO for row in (1, 4, 16) if n > row]
+    )
+    def test_wrf_exchange(self, n, row):
+        pairs = wrf_exchange(n, row)
+        assert pairs == reference_wrf_pairs(n, row)
+        assert all(type(s) is int and type(d) is int for s, d in pairs)
 
 
 class TestWRF:

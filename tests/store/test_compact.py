@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import RouteTable
@@ -19,6 +19,33 @@ def assert_tables_equal(a: RouteTable, b: RouteTable) -> None:
     assert np.array_equal(a.dst, b.dst)
     assert np.array_equal(a.nca_level, b.nca_level)
     assert np.array_equal(a.ports, b.ports)
+
+
+def assert_same_arrays(a: dict, b: dict) -> None:
+    """Equal names, dtypes and values: what ``np.save`` writes byte for byte."""
+    assert a.keys() == b.keys()
+    for name, array in a.items():
+        assert b[name].dtype == array.dtype, name
+        assert b[name].shape == array.shape, name
+        assert np.array_equal(b[name], array), name
+
+
+#: the schemes that declare the endpoint steering them
+STEERED = ("d-mod-k", "s-mod-k", "r-nca-u", "r-nca-d")
+
+
+@st.composite
+def steered_trees(draw):
+    """XGFTs with h = 1-3 and at most 125 leaves; half of them get a
+    two-subtree top (m_h = 2) and half a level with a single up-port."""
+    h = draw(st.integers(1, 3))
+    m = [draw(st.integers(1, 5)) for _ in range(h)]
+    w = [draw(st.integers(1, 4)) for _ in range(h)]
+    if draw(st.booleans()):
+        m[-1] = 2
+    if draw(st.booleans()):
+        w[draw(st.integers(0, h - 1))] = 1
+    return XGFT(tuple(m), tuple(w))
 
 
 # graph schemes emit PathTables, which have no compact port encoding
@@ -93,6 +120,58 @@ class TestEncodingSelection:
         compact = make_algorithm("d-mod-k", small_tree).all_pairs_table().to_compact()
         assert compact.kind == "all-pairs"
         assert "src" not in compact.arrays and "dst" not in compact.arrays
+
+
+class TestSteeredEntries:
+    """``CompactRouteTable.steered`` against ``encode(all_pairs_table())``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(topo=steered_trees(), algorithm=st.sampled_from(STEERED), seed=st.integers(0, 4))
+    # two top subtrees, one level: a source-steered column lands on the
+    # destination axis with the subtrees' ports swapped
+    @example(topo=XGFT((2,), (3,)), algorithm="s-mod-k", seed=0)
+    @example(topo=XGFT((2,), (3,)), algorithm="r-nca-u", seed=1)
+    # no pair climbs to the top level: its column is all zero
+    @example(topo=XGFT((4, 1), (1, 2)), algorithm="d-mod-k", seed=0)
+    @example(topo=XGFT((3, 2), (2, 1)), algorithm="r-nca-u", seed=2)
+    @example(topo=XGFT((1,), (1,)), algorithm="r-nca-d", seed=0)
+    def test_matches_the_encoded_all_pairs_table(self, topo, algorithm, seed):
+        alg = make_algorithm(algorithm, topo, seed=seed)
+        full = alg.all_pairs_table()
+        encoded = CompactRouteTable.encode(full)
+        direct = CompactRouteTable.steered(alg)
+        assert direct.kind == encoded.kind and direct.encoding == encoded.encoding
+        assert direct.describe() == encoded.describe()
+        assert_same_arrays(encoded.arrays, direct.arrays)
+        decoded = direct.to_table()
+        for column in ("src", "dst", "nca_level", "ports"):
+            ours, theirs = getattr(decoded, column), getattr(full, column)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+        if len(full):
+            idx = np.random.default_rng(seed).integers(0, len(full), size=32)
+            nca, ports = direct.batch_lookup(full.src[idx], full.dst[idx])
+            assert np.array_equal(nca, full.nca_level[idx])
+            assert np.array_equal(ports, full.ports[idx])
+
+    def test_serve_tree_axes(self):
+        """With w1 = 1, level 0 collapses onto the destination axis for
+        every scheme; only the source-steered level 1 keeps ``src``."""
+        topo = XGFT((32, 64), (1, 16))
+        for algorithm, axes in [
+            ("d-mod-k", ["dst", "dst"]),
+            ("s-mod-k", ["dst", "src"]),
+            ("r-nca-u", ["dst", "src"]),
+            ("r-nca-d", ["dst", "dst"]),
+        ]:
+            direct = CompactRouteTable.steered(make_algorithm(algorithm, topo))
+            assert direct.meta["column_axes"] == axes
+            assert direct.nbytes == 2 * topo.num_leaves
+
+    @pytest.mark.parametrize("algorithm", ["random", "colored"])
+    def test_other_schemes_refused(self, small_tree, algorithm):
+        with pytest.raises(ValueError, match="not steered"):
+            CompactRouteTable.steered(make_algorithm(algorithm, small_tree))
 
 
 class TestGoldenBytesPerRoute:

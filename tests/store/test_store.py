@@ -130,6 +130,112 @@ class TestPutOpen:
         assert set(store.keys()) == {k1, k2}
 
 
+class TestPayloadChecks:
+    """``open`` refuses an entry whose payload does not match its meta.json."""
+
+    TOPOLOGY = "XGFT(2;4,4;1,3)"
+
+    def entry(self, store, algorithm: str, seed: int = 0, topology: str = TOPOLOGY):
+        key = StoreKey.make(topology, algorithm, seed)
+        open_table(topology, algorithm, seed, store=store)
+        return key, store.entry_dir(key)
+
+    def rewrite_meta(self, entry, **changes):
+        meta = json.loads((entry / "meta.json").read_text())
+        meta.update(changes)
+        (entry / "meta.json").write_text(json.dumps(meta))
+
+    def test_intact_entries_open(self, store):
+        for algorithm, encoding in [("d-mod-k", "columnar"), ("random", "prefix-dict")]:
+            key, _ = self.entry(store, algorithm)
+            assert store.open(key).encoding == encoding
+        key, _ = self.entry(store, "random", topology="XGFT(1;4;3)")
+        assert store.open(key).encoding == "dense"
+
+    def test_short_column(self, store):
+        key, entry = self.entry(store, "d-mod-k")
+        np.save(entry / "col1.npy", np.load(entry / "col1.npy")[:-1])
+        with pytest.raises(StoreFormatError, match="'col1' has 15 entries, not 16"):
+            store.open(key)
+
+    def test_truncated_column_file(self, store):
+        key, entry = self.entry(store, "d-mod-k")
+        path = entry / "col1.npy"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(StoreFormatError, match="does not match its meta.json"):
+            store.open(key)
+
+    def test_missing_column(self, store):
+        key, entry = self.entry(store, "s-mod-k")
+        (entry / "col0.npy").unlink()
+        with pytest.raises(StoreFormatError, match="holds the arrays"):
+            store.open(key)
+
+    def test_out_of_range_port(self, store):
+        key, entry = self.entry(store, "r-nca-d", seed=1)
+        column = np.load(entry / "col1.npy")
+        column[5] = 3  # w2 = 3: ports 0..2
+        np.save(entry / "col1.npy", column)
+        with pytest.raises(StoreFormatError, match="port 3 at entry 5, outside"):
+            store.open(key)
+
+    def test_unknown_axis(self, store):
+        key, entry = self.entry(store, "d-mod-k")
+        self.rewrite_meta(entry, column_axes=["dst", "sideways"])
+        with pytest.raises(StoreFormatError, match="unknown axis 'sideways'"):
+            store.open(key)
+
+    def test_axis_count(self, store):
+        key, entry = self.entry(store, "d-mod-k")
+        self.rewrite_meta(entry, column_axes=["dst"])
+        with pytest.raises(StoreFormatError, match="one axis per level"):
+            store.open(key)
+
+    def test_short_codes(self, store):
+        key, entry = self.entry(store, "random", seed=1)
+        np.save(entry / "codes.npy", np.load(entry / "codes.npy")[:-1])
+        with pytest.raises(StoreFormatError, match="'codes' has 239 entries, not 240"):
+            store.open(key)
+
+    def test_prefix_out_of_range(self, store):
+        key, entry = self.entry(store, "random", seed=1)
+        prefixes = np.load(entry / "prefixes.npy")
+        prefixes[0, 0] = 1  # w1 = 1: level 0 has port 0 only
+        np.save(entry / "prefixes.npy", prefixes)
+        with pytest.raises(StoreFormatError, match="prefix table level 0"):
+            store.open(key)
+
+    def test_short_dense_level(self, store):
+        key, entry = self.entry(store, "random", topology="XGFT(1;4;3)")
+        np.save(entry / "level0.npy", np.load(entry / "level0.npy")[:-2])
+        with pytest.raises(StoreFormatError, match="'level0' has 10 entries, not 12"):
+            store.open(key)
+
+    def test_route_count(self, store):
+        key, entry = self.entry(store, "d-mod-k")
+        self.rewrite_meta(entry, num_routes=17)
+        with pytest.raises(StoreFormatError, match="has 240 routes, not 17"):
+            store.open(key)
+        self.rewrite_meta(entry, num_routes=None)
+        with pytest.raises(StoreFormatError, match="does not match its meta.json"):
+            store.open(key)
+
+    @pytest.mark.parametrize(
+        "text, match", [("{", "corrupt meta.json"), ("[1, 2]", "not an object")]
+    )
+    def test_corrupt_meta(self, store, text, match):
+        key, entry = self.entry(store, "d-mod-k")
+        (entry / "meta.json").write_text(text)
+        with pytest.raises(StoreFormatError, match=match):
+            store.open(key)
+
+    def test_float_column(self, store):
+        key, entry = self.entry(store, "d-mod-k")
+        np.save(entry / "col1.npy", np.load(entry / "col1.npy").astype(np.float64))
+        with pytest.raises(StoreFormatError, match="integer array"):
+            store.open(key)
+
+
 class TestOpenTableFacade:
     def test_builds_on_miss_and_reopens_from_store(self, store):
         compact = open_table("XGFT(2;4,4;1,2)", "d-mod-k", store=store)

@@ -7,14 +7,17 @@ does more work (an extra refill per epoch, an extra route-table build)
 fails here, and a change that does less passes and lowers the pin to
 record its gain.  The pairs a sweep or a stream routes are pinned
 exactly: a cell routes the pairs its traffic sends, so fewer would mean
-a pair went unrouted.  No evaluation builds an all-pairs table.
+a pair went unrouted.  No evaluation builds an all-pairs table, and
+neither does a cold store entry of a scheme steered by one endpoint.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
-from repro.api import Scenario
+from repro.api import Scenario, open_table
 from repro.core import make_algorithm
 from repro.dimemas import FluidTransferNetwork, ReplayEngine, pattern_trace, route_trace
 from repro.experiments import SweepSpec, run_sweep
@@ -182,3 +185,41 @@ def test_replay_refills_once_per_instant(app, oracle):
         net.sim = FluidSimulator(net.space.num_links, PAPER_CONFIG.link_bandwidth)
     ReplayEngine(trace, net).run()
     assert net.sim.telemetry()["recomputes"] <= MAX_REPLAY_REFILLS[app]
+
+
+#: the serve workload's tree: 2,048 leaves, 4,192,256 all-pairs rows
+SERVE_TOPOLOGY = "XGFT(2;32,64;1,16)"
+#: what a cold steered entry may allocate (tracemalloc peak); routing
+#: the tree's all-pairs table allocates hundreds of MB
+MAX_STEERED_ENTRY_BYTES = 16 * 2**20
+
+
+@pytest.mark.parametrize("algorithm", ["d-mod-k", "s-mod-k", "r-nca-u", "r-nca-d"])
+def test_cold_steered_entry_routes_no_pair(algorithm, tmp_path, routing_calls):
+    """A cold store entry of a steered scheme is one port column per
+    level: no pair routed, no all-pairs table built."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        table = open_table(SERVE_TOPOLOGY, algorithm, store=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert routing_calls == {"pairs": [], "all_pairs": 0, "route": 0}
+    assert peak < MAX_STEERED_ENTRY_BYTES
+    assert len(table) == 2048 * 2047
+
+
+@pytest.mark.parametrize(
+    "algorithm, faults",
+    [("random", "none"), ("d-mod-k", "links:count=2,seed=1")],
+    ids=["random", "faulted-d-mod-k"],
+)
+def test_cold_routed_entry_builds_one_all_pairs_table(algorithm, faults, tmp_path, routing_calls):
+    """Other schemes, and faulted keys of steered ones, route every pair
+    once and encode (or repair) the all-pairs table."""
+    open_table("XGFT(2;16,16;1,8)", algorithm, faults=faults, store=tmp_path)
+    assert routing_calls == {"pairs": [256 * 255], "all_pairs": 1, "route": 0}
